@@ -3,17 +3,15 @@
 A launch executes the kernel IR once per iteration index ("the loop index
 is remapped to the CUDA thread ID").  Execution is *functional* — lanes
 really compute — and *metered* — dynamic work counts are converted to
-simulated kernel time by the cost model.  Three launch modes correspond
-to the three device-side execution styles in the paper:
+simulated kernel time by the cost model.  Two launch modes correspond
+to the device-side execution styles in the paper:
 
 ``buffered``
-    SE-phase style: per-lane write buffers + read/write logs
-    (:class:`SpeculativeBackend`).  Used by GPU-TLS, privatization, and
-    by DOALL execution (whose commit is trivially safe).
-``tracing``
-    Profiling instrumentation: direct writes plus a full address trace
-    (:class:`TracingBackend`) — but against a scratch copy of memory, as
-    the profiler must not perturb program state.
+    SE-phase style: per-lane write buffers + read/write logs, returned
+    as a :class:`ColumnarLanes`.  Used by GPU-TLS, privatization, the
+    profiler (buffered writes leave program state unperturbed), and by
+    DOALL execution (whose commit is trivially safe).  Straight-line
+    kernels run all lanes at once through the vectorized SE kernel.
 ``direct``
     Straight execution; uses the vectorized fast path when the kernel is
     straight-line.  Only safe for loops proven DOALL.
@@ -21,8 +19,8 @@ to the three device-side execution styles in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +33,7 @@ from ..errors import (
 from ..faults.plane import SITE_GPU_HANG, SITE_GPU_LAUNCH
 from ..faults.resilience import FaultRuntime
 from ..ir.instructions import IRFunction, stored_arrays
-from ..ir.interpreter import (
-    ArrayStorage,
-    Counts,
-    LaneSpecState,
-)
+from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.columnar import ColumnarLanes
 from ..ir.native import KernelDispatcher
 from ..ir.vectorizer import can_vectorize
@@ -60,11 +54,8 @@ class LaunchResult:
     warps: list[Warp]
     #: lock-step SIMD divergence penalty measured for this launch
     divergence: float = 1.0
-    #: per-iteration speculative state (buffered mode only); either a
-    #: plain dict or a :class:`ColumnarLanes` view (same Mapping protocol)
-    lanes: Mapping[int, LaneSpecState] = field(default_factory=dict)
-    #: per-iteration address traces (tracing mode only)
-    traces: dict[int, list] = field(default_factory=dict)
+    #: the speculative access log (buffered mode only)
+    lanes: Optional[ColumnarLanes] = None
     vectorized: bool = False
 
 
@@ -92,16 +83,13 @@ class GpuDevice:
         #: executor share one dispatcher (compile once per process), and
         #: all artifacts are keyed by content fingerprint, not id(fn)
         self.kernels = kernels or KernelDispatcher(obs=self.obs)
-        #: columnar fast path for buffered launches; tests/benches flip
-        #: this off to exercise the scalar oracle end to end
-        self.columnar_profiling: bool = True
 
     @property
     def native_crosscheck(self) -> bool:
         """Replay native-tier executions through the interpreter oracle.
 
-        Same pattern as the ``*_scalar`` cross-checks: tests/benches flip
-        this on to verify the generated tiers bit-for-bit end to end.
+        Tests and benches flip this on to verify the generated tiers
+        bit-for-bit end to end.
         The flag lives on the shared dispatcher, so setting it on any
         device of a pool covers the whole context.
         """
@@ -144,21 +132,16 @@ class GpuDevice:
                 elem_bytes, mark_writes=check_allocations,
                 block_size=block_size, penalty_s=penalty_s,
             )
-        if mode == "buffered":
-            if self.columnar_profiling and can_vectorize(fn) and indices:
-                return self._launch_buffered_vectorized(
-                    fn, indices, scalar_env, storage, warps, coalescing,
-                    elem_bytes, check_allocations, block_size, penalty_s,
-                )
-            per_lane, aux = self.kernels.run_buffered(
-                fn, indices, scalar_env, storage
-            )
-        elif mode == "tracing":
-            per_lane, aux = self.kernels.run_tracing(
-                fn, indices, scalar_env, storage
-            )
-        else:
+        if mode != "buffered":
             raise LaunchError(f"unknown launch mode {mode!r}")
+        if can_vectorize(fn) and indices:
+            return self._launch_buffered_vectorized(
+                fn, indices, scalar_env, storage, warps, coalescing,
+                elem_bytes, check_allocations, block_size, penalty_s,
+            )
+        per_lane, lanes = self.kernels.run_buffered(
+            fn, indices, scalar_env, storage
+        )
 
         counts = self.kernels.take_counts(fn)
         div = divergence_factor(per_lane, self.spec.warp_size)
@@ -167,15 +150,10 @@ class GpuDevice:
             counts, len(indices), coalescing=coalescing,
             elem_bytes=elem_bytes, divergence=div,
         )
-        result = LaunchResult(counts, sim_time, len(indices), warps, divergence=div)
-        if mode == "buffered":
-            result.lanes = (
-                ColumnarLanes.from_states(aux, indices)
-                if self.columnar_profiling
-                else aux
-            )
-        else:
-            result.traces = aux
+        result = LaunchResult(
+            counts, sim_time, len(indices), warps, divergence=div,
+            lanes=lanes,
+        )
         if check_allocations:
             self._mark_writes(fn)
         self._record_launch(mode, len(indices), div, sim_time, False)
@@ -207,9 +185,8 @@ class GpuDevice:
         )
         result = LaunchResult(
             counts, sim_time, len(indices), warps, divergence=div,
-            vectorized=True,
+            lanes=lanes, vectorized=True,
         )
-        result.lanes = lanes
         if check_allocations:
             self._mark_writes(fn)
         self._record_launch("buffered", len(indices), div, sim_time, True)
@@ -363,7 +340,7 @@ class GpuDevice:
 
     def commit_lanes(
         self,
-        lanes: Mapping[int, LaneSpecState],
+        lanes: ColumnarLanes,
         storage: ArrayStorage,
         iterations: Sequence[int],
     ) -> int:
@@ -373,17 +350,7 @@ class GpuDevice:
         last-writer-wins match sequential semantics for overlapping writes
         (the privatization copy-back rule).
         """
-        if isinstance(lanes, ColumnarLanes):
-            cells, _nbytes = lanes.commit(storage, sorted(iterations))
-            return cells
-        written = 0
-        for i in sorted(iterations):
-            state = lanes.get(i)
-            if state is None:
-                continue
-            for (name, flat), value in state.buffer.items():
-                storage.write_flat(name, flat, value)
-                written += 1
-        return written
+        cells, _nbytes = lanes.commit(storage, sorted(iterations))
+        return cells
 
 

@@ -13,21 +13,18 @@ from .instructions import (
     jtype_of_prim,
 )
 from .interpreter import (
-    AccessRecord,
     ArrayStorage,
     CompiledKernel,
     Counts,
     DirectBackend,
     FuelExhausted,
     SpeculativeBackend,
-    TracingBackend,
     run_sequential,
 )
 from .lower import length_param, lower_loop_body, promote
 from .vectorizer import VectorizedKernel, can_vectorize
 
 __all__ = [
-    "AccessRecord",
     "ArrayParam",
     "ArrayStorage",
     "Block",
@@ -43,7 +40,6 @@ __all__ = [
     "Reg",
     "ScalarParam",
     "SpeculativeBackend",
-    "TracingBackend",
     "VectorizedKernel",
     "can_vectorize",
     "jtype_of_prim",

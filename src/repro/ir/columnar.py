@@ -1,197 +1,99 @@
-"""Columnar speculative-access logs (the profiling fast path).
+"""Columnar speculative-access logs: the one form of the SE-phase log.
 
 A buffered launch over ``n`` lanes produces, per lane, a write buffer
-plus read/write logs.  The scalar representation — one
-:class:`LaneSpecState` with Python ``AccessRecord`` lists per lane — is
-what the interpreter naturally emits, but every analysis over it
-(density, coalescing, stride compression, dependency checking, commit)
-then crawls Python objects.  :class:`ColumnarLanes` stores the same
-information as NumPy columns:
+plus read/write logs.  Every buffered tier — the interpreter's
+:class:`~repro.ir.interpreter.SpeculativeBackend`, the generated-source
+``buffered`` kernel and the vectorized SE kernel — writes them straight
+into NumPy columns, and every analysis (density, coalescing, stride
+compression, dependency checking, commit) reads those columns:
 
-* ``order``/``present`` — iteration id per lane *position* and whether
-  the lane ran;
+* ``order`` — iteration id per lane *position*;
 * read/write columns ``(pos, op, array_id, flat)`` sorted by
   ``(pos, op)`` — i.e. grouped per lane in log order;
 * per-array buffer columns ``(pos, flat, value)`` with one row per
-  final buffered cell, sorted by ``(pos, flat)``.
+  final buffered cell, sorted by ``(pos, flat)``, values at the array's
+  element dtype.
 
-It also implements the ``Mapping[int, LaneSpecState]`` protocol so every
-scalar consumer keeps working unchanged: logs built by the scalar
-backend keep their original states (``from_states``), logs built by the
-vectorized SE kernel materialize states on demand.
-
-Invariant relied upon by the columnar analyses: within a lane the log
-lists are op-ascending (both backends append with a monotonically
-increasing op counter).
+Invariant relied upon by the analyses: within a lane the log rows are
+op-ascending (every builder appends with a monotonically increasing op
+counter).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .interpreter import AccessRecord, ArrayStorage, LaneSpecState
+if TYPE_CHECKING:
+    from .interpreter import ArrayStorage
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _as_order_array(iteration_order) -> np.ndarray:
-    if isinstance(iteration_order, np.ndarray):
-        return iteration_order.astype(np.int64, copy=False)
-    return np.fromiter(iteration_order, dtype=np.int64)
+def _log_columns(rows: list[int]) -> tuple[np.ndarray, ...]:
+    """Split a flat ``(pos, op, array_id, flat)*`` int list into columns."""
+    if not rows:
+        return (_EMPTY,) * 4
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy())
 
 
-class ColumnarLanes(Mapping):
+class ColumnarLanes:
     """Columnar per-lane speculative state of one buffered launch."""
 
     def __init__(
         self,
         order: np.ndarray,
-        present: np.ndarray,
         names: list[str],
         reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         writes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        buffers: Optional[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]],
-        op_total: Optional[int] = None,
-        states: Optional[Mapping[int, LaneSpecState]] = None,
+        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
     ):
         self.order = order
-        self.present = present
         self.names = names
         self.r_pos, self.r_op, self.r_arr, self.r_flat = reads
         self.w_pos, self.w_op, self.w_arr, self.w_flat = writes
         #: array_id -> (pos, flat, value) final buffered cells, unique per
-        #: (pos, flat), sorted by (pos, flat); None when only scalar
-        #: states carry the buffers (``from_states`` construction)
+        #: (pos, flat), sorted by (pos, flat)
         self.buffers = buffers
-        self._op_total = op_total
-        self._states = dict(states) if states is not None else None
-        self._pos_of: Optional[dict[int, int]] = None
-
-    # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_states(
+    def build(
         cls,
-        states: Mapping[int, LaneSpecState],
-        iteration_order: Sequence[int],
+        indices: Sequence[int],
+        names: list[str],
+        reads: list[int],
+        writes: list[int],
+        buffers: Mapping[int, Mapping[tuple[int, int], object]],
+        arrays: Mapping[str, np.ndarray],
     ) -> "ColumnarLanes":
-        """Wrap scalar backend output (log lists must be op-ascending)."""
-        order = _as_order_array(iteration_order)
-        n = len(order)
-        present = np.zeros(n, dtype=bool)
-        names: list[str] = []
-        aid: dict[str, int] = {}
-        r_cols: tuple[list, list, list, list] = ([], [], [], [])
-        w_cols: tuple[list, list, list, list] = ([], [], [], [])
-        for p in range(n):
-            state = states.get(int(order[p]))
-            if state is None:
+        """Columns from an interp or src buffered launch.
+
+        ``reads``/``writes`` are flat ``(pos, op, array_id, flat)`` int
+        lists appended lane by lane; ``buffers`` maps an array id to its
+        ``{(pos, flat): value}`` buffered cells.  Values are stored at
+        the element dtype of ``arrays[name]``, the dtype commit writes.
+        """
+        cols: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for a_id, cells in buffers.items():
+            if not cells:
                 continue
-            present[p] = True
-            for rec in state.reads:
-                a = aid.get(rec.array)
-                if a is None:
-                    a = aid[rec.array] = len(names)
-                    names.append(rec.array)
-                r_cols[0].append(p)
-                r_cols[1].append(rec.op)
-                r_cols[2].append(a)
-                r_cols[3].append(rec.flat)
-            for rec in state.writes:
-                a = aid.get(rec.array)
-                if a is None:
-                    a = aid[rec.array] = len(names)
-                    names.append(rec.array)
-                w_cols[0].append(p)
-                w_cols[1].append(rec.op)
-                w_cols[2].append(a)
-                w_cols[3].append(rec.flat)
-
-        def cols(raw):
-            return tuple(np.array(c, dtype=np.int64) for c in raw)
-
-        # the scan is position-major and each lane's list op-ascending,
-        # so the columns are already (pos, op)-sorted
+            keys = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+            vals = np.array(
+                list(cells.values()), dtype=arrays[names[a_id]].dtype
+            )
+            s = np.lexsort((keys[:, 1], keys[:, 0]))
+            cols[a_id] = (keys[s, 0], keys[s, 1], vals[s])
         return cls(
-            order, present, names, cols(r_cols), cols(w_cols),
-            buffers=None, states=states,
+            np.asarray(indices, dtype=np.int64), names,
+            _log_columns(reads), _log_columns(writes), cols,
         )
 
-    # -- Mapping protocol ------------------------------------------------
-
-    def __len__(self) -> int:
-        if self._states is not None:
-            return len(self._states)
-        return int(self.present.sum())
-
-    def __iter__(self) -> Iterator[int]:
-        if self._states is not None:
-            return iter(self._states)
-        return (int(it) for it in self.order[self.present])
-
-    def __getitem__(self, iteration: int) -> LaneSpecState:
-        if self._states is not None:
-            return self._states[iteration]
-        pos = self._position_of(iteration)
-        if pos is None:
-            raise KeyError(iteration)
-        return self._materialize(pos)
-
-    def _position_of(self, iteration: int) -> Optional[int]:
-        if self._pos_of is None:
-            self._pos_of = {
-                int(it): p
-                for p, it in enumerate(self.order)
-                if self.present[p]
-            }
-        return self._pos_of.get(iteration)
-
-    def _materialize(self, pos: int) -> LaneSpecState:
-        names = self.names
-        lo, hi = np.searchsorted(self.r_pos, [pos, pos + 1])
-        reads = [
-            AccessRecord(int(o), "R", names[a], int(f))
-            for o, a, f in zip(
-                self.r_op[lo:hi], self.r_arr[lo:hi], self.r_flat[lo:hi]
-            )
-        ]
-        lo, hi = np.searchsorted(self.w_pos, [pos, pos + 1])
-        writes = [
-            AccessRecord(int(o), "W", names[a], int(f))
-            for o, a, f in zip(
-                self.w_op[lo:hi], self.w_arr[lo:hi], self.w_flat[lo:hi]
-            )
-        ]
-        buffer: dict[tuple[str, int], object] = {}
-        if self.buffers:
-            for a_id, (b_pos, b_flat, b_val) in self.buffers.items():
-                lo, hi = np.searchsorted(b_pos, [pos, pos + 1])
-                name = names[a_id]
-                for f, v in zip(b_flat[lo:hi], b_val[lo:hi]):
-                    buffer[(name, int(f))] = v.item()
-        return LaneSpecState(
-            buffer=buffer, reads=reads, writes=writes,
-            op=int(self._op_total or 0),
-        )
-
-    # -- fast-path queries ------------------------------------------------
-
-    def matches_order(self, iteration_order) -> bool:
-        """True when ``iteration_order`` equals the launch's lane order."""
-        seq = _as_order_array(iteration_order)
-        return seq.shape == self.order.shape and bool(
-            np.array_equal(self.order, seq)
-        )
+    # -- queries ----------------------------------------------------------
 
     @property
     def n_positions(self) -> int:
         return len(self.order)
-
-    @property
-    def n_present(self) -> int:
-        return int(self.present.sum())
 
     def logged_accesses(self) -> int:
         """Total logged reads + writes (the DD analysis input volume)."""
@@ -199,8 +101,7 @@ class ColumnarLanes(Mapping):
 
     def _wanted_mask(self, iterations) -> np.ndarray:
         wanted = np.unique(np.fromiter(iterations, dtype=np.int64))
-        lane_wanted = np.isin(self.order, wanted)
-        return lane_wanted & self.present
+        return np.isin(self.order, wanted)
 
     def metadata_entries(self, iterations=None) -> int:
         if iterations is None:
@@ -209,22 +110,9 @@ class ColumnarLanes(Mapping):
         return int(mask[self.r_pos].sum() + mask[self.w_pos].sum())
 
     def buffered_cells(self) -> int:
-        if self._states is not None:
-            return sum(len(s.buffer) for s in self._states.values())
-        assert self.buffers is not None
         return sum(len(b_pos) for b_pos, _f, _v in self.buffers.values())
 
     def buffered_bytes(self, storage: ArrayStorage, iterations=None) -> int:
-        if self._states is not None:
-            total = 0
-            wanted = None if iterations is None else set(iterations)
-            for it, state in self._states.items():
-                if wanted is not None and it not in wanted:
-                    continue
-                for (name, _flat) in state.buffer:
-                    total += storage.arrays[name].dtype.itemsize
-            return total
-        assert self.buffers is not None
         mask = None if iterations is None else self._wanted_mask(iterations)
         total = 0
         for a_id, (b_pos, _f, _v) in self.buffers.items():
@@ -240,21 +128,8 @@ class ColumnarLanes(Mapping):
         """Apply buffers of ``iterations`` in the given sequential order.
 
         Returns ``(cells_written, bytes_written)``; the last lane (in the
-        given order) to buffer a cell wins, matching the scalar commit.
+        given order) to buffer a cell wins, matching sequential semantics.
         """
-        if self._states is not None:
-            cells = 0
-            nbytes = 0
-            for it in iterations:
-                state = self._states.get(it)
-                if state is None:
-                    continue
-                for (name, flat), value in state.buffer.items():
-                    storage.write_flat(name, flat, value)
-                    cells += 1
-                    nbytes += storage.arrays[name].dtype.itemsize
-            return cells, nbytes
-        assert self.buffers is not None
         commit = np.fromiter(iterations, dtype=np.int64)
         if len(commit) == 0 or not self.buffers:
             return 0, 0
@@ -264,7 +139,7 @@ class ColumnarLanes(Mapping):
         idx = np.searchsorted(self.order[o_sort], commit)
         ok = idx < len(o_sort)
         cand = o_sort[idx[ok]]
-        hit = (self.order[cand] == commit[ok]) & self.present[cand]
+        hit = self.order[cand] == commit[ok]
         rank_of_pos[cand[hit]] = np.nonzero(ok)[0][hit]
         cells = 0
         nbytes = 0
@@ -284,6 +159,57 @@ class ColumnarLanes(Mapping):
             cells += rows
             nbytes += rows * arr.dtype.itemsize
         return cells, nbytes
+
+
+def _same_values(u: np.ndarray, v: np.ndarray) -> bool:
+    """Bitwise equality that also matches NaN against NaN (any payload)."""
+    if u.dtype != v.dtype or u.shape != v.shape:
+        return False
+    if u.dtype.kind == "f":
+        nan_u, nan_v = np.isnan(u), np.isnan(v)
+        if not np.array_equal(nan_u, nan_v):
+            return False
+        u, v = u[~nan_u], v[~nan_v]
+    return u.tobytes() == v.tobytes()
+
+
+def log_differences(a: ColumnarLanes, b: ColumnarLanes) -> list[str]:
+    """The columns on which two logs differ (empty: the same log).
+
+    Array ids are compared by name, so two tiers may number arrays
+    differently; buffer values are compared bitwise, NaN-aware.
+    """
+    diffs: list[str] = []
+    if not np.array_equal(a.order, b.order):
+        diffs.append("lane order")
+    index = {name: k for k, name in enumerate(a.names)}
+    remap = np.array([index.get(n, -1) for n in b.names], dtype=np.int64)
+    for kind, x, y in (
+        (
+            "read",
+            (a.r_pos, a.r_op, a.r_arr, a.r_flat),
+            (b.r_pos, b.r_op, remap[b.r_arr], b.r_flat),
+        ),
+        (
+            "write",
+            (a.w_pos, a.w_op, a.w_arr, a.w_flat),
+            (b.w_pos, b.w_op, remap[b.w_arr], b.w_flat),
+        ),
+    ):
+        for col, u, v in zip(("pos", "op", "array", "flat"), x, y):
+            if not np.array_equal(u, v):
+                diffs.append(f"{kind} {col} column")
+    bufs_a = {a.names[k]: cols for k, cols in a.buffers.items()}
+    bufs_b = {b.names[k]: cols for k, cols in b.buffers.items()}
+    if set(bufs_a) != set(bufs_b):
+        diffs.append("buffered arrays")
+    for name in sorted(bufs_a.keys() & bufs_b.keys()):
+        (pa, fa, va), (pb, fb, vb) = bufs_a[name], bufs_b[name]
+        if not (np.array_equal(pa, pb) and np.array_equal(fa, fb)):
+            diffs.append(f"buffer cells of {name!r}")
+        elif not _same_values(va, vb):
+            diffs.append(f"buffer values of {name!r}")
+    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +237,9 @@ def dedup_first(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First occurrence per (lane position, cell key), in scan order.
 
-    The scalar analyses consider each cell once per iteration, keeping
-    the first log entry; rows come in (pos, op)-sorted and leave the
-    same way.
+    The analyses consider each cell once per iteration, keeping the
+    first log entry; rows come in (pos, op)-sorted and leave the same
+    way.
     """
     if len(pos) == 0:
         return pos, op, key
@@ -330,8 +256,7 @@ def first_seen_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank cells by first appearance in a scan-ordered key column.
 
     Returns ``(uniq_sorted, rank)``: for the sorted unique keys, the
-    order in which each was first seen — the insertion order of the
-    scalar analysis' per-cell dicts.  Look up a key's rank with
+    order in which each was first seen.  Look up a key's rank with
     ``rank[np.searchsorted(uniq_sorted, key)]``.
     """
     uniq, first_idx = np.unique(keys, return_index=True)

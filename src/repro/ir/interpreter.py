@@ -5,11 +5,11 @@ closures ("threaded code"), then executed per iteration index.  Memory is
 accessed through a pluggable backend so that the same compiled kernel
 serves:
 
-* sequential / CPU-thread execution (:class:`DirectBackend`),
-* dependency profiling (:class:`TracingBackend` records the address
-  stream with per-lane memory-op timestamps), and
-* TLS speculative execution (:class:`SpeculativeBackend` buffers writes
-  per lane and records read/write sets, the SE-phase metadata of GPU-TLS).
+* sequential / CPU-thread execution (:class:`DirectBackend`), and
+* TLS speculative execution and dependency profiling
+  (:class:`SpeculativeBackend` buffers writes per lane and logs read/write
+  sets with per-lane memory-op timestamps, the SE-phase metadata of
+  GPU-TLS, as a :class:`~repro.ir.columnar.ColumnarLanes`).
 
 The interpreter also meters executed work (integer/float/special ops,
 loads, stores, branches) — the dynamic instruction counts the runtime cost
@@ -18,13 +18,14 @@ model converts into simulated device time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import JaponicaError, MemoryFault
 from . import java_ops
+from .columnar import ColumnarLanes
 from .instructions import (
     IRFunction,
     JType,
@@ -217,102 +218,75 @@ class DirectBackend:
         flat = self.storage.flat(name, idx)
         self.storage.write_flat(name, flat, value)
 
-    def begin_lane(self, lane: int) -> None:  # pragma: no cover - interface
+    def begin_lane(self) -> None:  # pragma: no cover - interface
         pass
-
-
-@dataclass
-class AccessRecord:
-    """One logged memory access: per-lane op timestamp, kind, cell."""
-
-    op: int
-    kind: str  # 'R' or 'W'
-    array: str
-    flat: int
-
-
-class TracingBackend:
-    """Direct execution that also records the address stream per lane.
-
-    ``traces[lane]`` is the ordered list of accesses made by that lane;
-    the ``op`` field is the lane-local memory-op counter, which under
-    lock-step SIMD is the warp-wide timestamp of the access.
-    """
-
-    __slots__ = ("storage", "traces", "_lane", "_op")
-
-    def __init__(self, storage: ArrayStorage):
-        self.storage = storage
-        self.traces: dict[int, list[AccessRecord]] = {}
-        self._lane = -1
-        self._op = 0
-
-    def begin_lane(self, lane: int) -> None:
-        self._lane = lane
-        self._op = 0
-        self.traces[lane] = []
-
-    def load(self, name: str, idx: tuple[int, ...]):
-        flat = self.storage.flat(name, idx)
-        self.traces[self._lane].append(AccessRecord(self._op, "R", name, flat))
-        self._op += 1
-        return self.storage.read_flat(name, flat)
-
-    def store(self, name: str, idx: tuple[int, ...], value) -> None:
-        flat = self.storage.flat(name, idx)
-        self.traces[self._lane].append(AccessRecord(self._op, "W", name, flat))
-        self._op += 1
-        self.storage.write_flat(name, flat, value)
 
 
 class SpeculativeBackend:
     """SE-phase memory of GPU-TLS: buffered writes + read/write logs.
 
-    Writes never touch global memory; they land in a per-lane buffer.
-    Reads are satisfied from the lane's own buffer when possible
-    (intra-lane RAW can never violate), otherwise from global memory and
-    logged for the dependency-checking phase.
+    Writes never touch global memory; they land in a per-array buffer
+    keyed by (lane position, flat).  Reads are satisfied from the lane's
+    own buffered writes when possible (intra-lane RAW can never
+    violate), otherwise from global memory and logged for the
+    dependency-checking phase.  Lanes must run in launch order: the
+    n-th :meth:`begin_lane` is lane position n.  :meth:`finish` turns
+    the logs into the launch's :class:`ColumnarLanes`.
     """
 
-    __slots__ = ("storage", "lanes", "_lane")
+    __slots__ = ("storage", "names", "reads", "writes", "buffers", "_ids",
+                 "_pos", "_op")
 
     def __init__(self, storage: ArrayStorage):
         self.storage = storage
-        self.lanes: dict[int, LaneSpecState] = {}
-        self._lane = -1
+        self.names: list[str] = []
+        #: flat (pos, op, array_id, flat) rows, lane by lane
+        self.reads: list[int] = []
+        self.writes: list[int] = []
+        #: array_id -> {(pos, flat): value}
+        self.buffers: dict[int, dict[tuple[int, int], object]] = {}
+        self._ids: dict[str, int] = {}
+        self._pos = -1
+        self._op = 0
 
-    def begin_lane(self, lane: int) -> None:
-        self._lane = lane
-        self.lanes[lane] = LaneSpecState()
+    def begin_lane(self) -> None:
+        self._pos += 1
+        self._op = 0
+
+    def _array_id(self, name: str) -> int:
+        a = self._ids.get(name)
+        if a is None:
+            a = self._ids[name] = len(self.names)
+            self.names.append(name)
+            self.buffers[a] = {}
+        return a
 
     def load(self, name: str, idx: tuple[int, ...]):
         flat = self.storage.flat(name, idx)
-        state = self.lanes[self._lane]
-        key = (name, flat)
-        if key in state.buffer:
-            value = state.buffer[key]
+        a = self._array_id(name)
+        cells = self.buffers[a]
+        key = (self._pos, flat)
+        if key in cells:
+            value = cells[key]
         else:
-            state.reads.append(AccessRecord(state.op, "R", name, flat))
+            self.reads += (self._pos, self._op, a, flat)
             value = self.storage.read_flat(name, flat)
-        state.op += 1
+        self._op += 1
         return value
 
     def store(self, name: str, idx: tuple[int, ...], value) -> None:
         flat = self.storage.flat(name, idx)
-        state = self.lanes[self._lane]
-        state.writes.append(AccessRecord(state.op, "W", name, flat))
-        state.op += 1
-        state.buffer[(name, flat)] = value
+        a = self._array_id(name)
+        self.writes += (self._pos, self._op, a, flat)
+        self._op += 1
+        self.buffers[a][(self._pos, flat)] = value
 
-
-@dataclass
-class LaneSpecState:
-    """Per-lane speculative state: write buffer plus access logs."""
-
-    buffer: dict[tuple[str, int], object] = field(default_factory=dict)
-    reads: list[AccessRecord] = field(default_factory=list)
-    writes: list[AccessRecord] = field(default_factory=list)
-    op: int = 0
+    def finish(self, indices: Sequence[int]) -> ColumnarLanes:
+        """The launch's log; ``indices`` are the iterations, in lane order."""
+        return ColumnarLanes.build(
+            indices, self.names, self.reads, self.writes, self.buffers,
+            self.storage.arrays,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +438,14 @@ class CompiledKernel:
         index_value: int,
         scalar_env: dict[str, object],
         backend,
-        lane: Optional[int] = None,
     ) -> None:
         """Execute the kernel body for one iteration index.
 
-        ``scalar_env`` must bind every scalar parameter by name.  ``lane``
-        identifies this iteration to tracing/speculative backends.
+        ``scalar_env`` must bind every scalar parameter by name; a
+        buffered backend takes successive calls as successive lanes.
         """
         self.backend = backend
-        backend.begin_lane(index_value if lane is None else lane)
+        backend.begin_lane()
         regs: list = [None] * self.fn.num_regs
         regs[self.fn.index.id] = index_value
         for param in self.fn.scalars:

@@ -32,10 +32,10 @@ shared process-wide across threads.
 Flavors mirror the interpreter's memory backends:
 
 ``direct``    reads/writes go straight to storage (DirectBackend).
-``buffered``  per-lane write buffers + read/write logs returned as a
-              ``{index: LaneSpecState}`` dict (SpeculativeBackend).
-``tracing``   direct writes plus per-lane ordered address traces
-              returned as ``{index: [AccessRecord]}`` (TracingBackend).
+``buffered``  per-lane write buffers + read/write logs appended to flat
+              int lists and returned as the launch's
+              :class:`~repro.ir.columnar.ColumnarLanes`
+              (SpeculativeBackend).
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import math
 
 from ...errors import JaponicaError
 from .. import java_ops
+from ..columnar import ColumnarLanes
 from ..instructions import IRFunction, JType, Opcode, SPECIAL_OPS
 from ..interpreter import (
-    AccessRecord,
     C_BRANCH,
     C_FLOAT,
     C_INT,
@@ -57,13 +57,12 @@ from ..interpreter import (
     C_STORE,
     C_TOTAL,
     FuelExhausted,
-    LaneSpecState,
     N_COUNTERS,
 )
 
 DEFAULT_FUEL = 200_000_000
 
-FLAVORS = ("direct", "buffered", "tracing")
+FLAVORS = ("direct", "buffered")
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -96,8 +95,7 @@ def _cast_f2l(v):
 _BASE_GLOBALS = {
     "_JErr": JaponicaError,
     "_Fuel": FuelExhausted,
-    "_AR": AccessRecord,
-    "_LSS": LaneSpecState,
+    "_LOG": ColumnarLanes.build,
     "_NAN": float("nan"),
     "_fdiv": java_ops._fdiv,
     "_fmod": java_ops._frem,
@@ -317,7 +315,7 @@ def generate(
     for name, var in plan.intr_var.items():
         g[var] = java_ops.INTRINSIC_FNS[name]
 
-    writes_mem = flavor in ("direct", "tracing")
+    writes_mem = flavor == "direct"
     e.emit(0, "def _kernel(_indices, _env, _storage, _raw, _per_lane):")
     e.emit(1, "_arrays = _storage.arrays")
     e.emit(1, "_flat = _storage.flat")
@@ -338,8 +336,14 @@ def generate(
             e.emit(2, f"{av}_f0 = {av}_f1 = -1")
         if name in plan.arrays_loaded:
             e.emit(1, f"{av}_item = {av}.item if {av} is not None else None")
-        if name in plan.arrays_stored and writes_mem:
-            e.emit(1, f"{av}_fl = {av}.flat if {av} is not None else None")
+        if name in plan.arrays_stored:
+            if writes_mem:
+                e.emit(
+                    1, f"{av}_fl = {av}.flat if {av} is not None else None"
+                )
+            else:
+                # read-own-write forwarding: {(lane position, flat): value}
+                e.emit(1, f"{av}_buf = {{}}")
     # -- scalar binds (interpreter order and error message) -------------
     for p in fn.scalars:
         sv = plan.scalar_var[p.name]
@@ -364,11 +368,14 @@ def generate(
     e.emit(1, "_c0 = _c1 = _c2 = _c3 = _c4 = _c5 = _c6 = _c7 = 0")
     e.emit(1, "_t = 0")
     if flavor == "buffered":
-        e.emit(1, "_lanes = {}")
-    elif flavor == "tracing":
-        e.emit(1, "_traces = {}")
+        # flat (pos, op, array_id, flat) rows, lane by lane
+        e.emit(1, "_R = []")
+        e.emit(1, "_W = []")
     e.emit(1, "try:")
-    e.emit(2, "for _i in _indices:")
+    if flavor == "buffered":
+        e.emit(2, "for _p, _i in enumerate(_indices):")
+    else:
+        e.emit(2, "for _i in _indices:")
     e.emit(3, f"r{fn.index.id} = _i")
     for p in looped_scalars:
         e.emit(3, f"r{plan.scalar_reg[p.name]} = {plan.scalar_var[p.name]}")
@@ -376,12 +383,6 @@ def generate(
         chain = " = ".join(f"r{rid}" for rid in init_ids)
         e.emit(3, f"{chain} = None")
     if flavor == "buffered":
-        e.emit(3, "_buf = {}")
-        e.emit(3, "_reads = []")
-        e.emit(3, "_writes = []")
-        e.emit(3, "_op = 0")
-    elif flavor == "tracing":
-        e.emit(3, "_tr = []")
         e.emit(3, "_op = 0")
     e.emit(3, "_t = 0")
     e.emit(3, "_blk = 0")
@@ -400,7 +401,7 @@ def generate(
             fold[C_TOTAL] += 1
         for instr in blk.instrs[:-1]:
             _emit_instr(
-                e, body_indent, instr, plan, flavor, const_iter, writes_mem
+                e, body_indent, instr, plan, flavor, const_iter
             )
         # fold the block's statically-known work before the terminator
         for cat in range(N_COUNTERS - 1):
@@ -429,18 +430,21 @@ def generate(
     e.emit(3, "_c7 += _t")
     e.emit(3, "_per_lane.append(_t)")
     e.emit(3, "_t = 0")
-    if flavor == "buffered":
-        e.emit(3, "_lanes[_i] = _LSS(_buf, _reads, _writes, _op)")
-    elif flavor == "tracing":
-        e.emit(3, "_traces[_i] = _tr")
     e.emit(1, "finally:")
     for k in range(N_COUNTERS - 1):
         e.emit(2, f"_raw[{k}] += _c{k}")
     e.emit(2, "_raw[7] += _c7 + _t")
     if flavor == "buffered":
-        e.emit(1, "return _lanes")
-    elif flavor == "tracing":
-        e.emit(1, "return _traces")
+        g["_NAMES"] = plan.arrays
+        bufs = ", ".join(
+            f"{k}: {plan.array_var[name]}_buf"
+            for k, name in enumerate(plan.arrays)
+            if name in plan.arrays_stored
+        )
+        e.emit(
+            1,
+            f"return _LOG(_indices, _NAMES, _R, _W, {{{bufs}}}, _arrays)",
+        )
     else:
         e.emit(1, "return None")
     return e.source(), g
@@ -484,7 +488,6 @@ def _emit_instr(
     plan: _KernelPlan,
     flavor: str,
     const_iter,
-    writes_mem: bool,
 ) -> None:
     op = instr.op
     if op is Opcode.CONST:
@@ -515,44 +518,33 @@ def _emit_instr(
         e.emit(indent, f"r{instr.dst.id} = {expr}")
         return
     av = plan.array_var[instr.array]
+    a_id = plan.arrays.index(instr.array)
+    _emit_flat(e, indent, instr, plan, "_f")
     if op is Opcode.LOAD:
         dst = f"r{instr.dst.id}"
         if flavor == "direct":
-            _emit_flat(e, indent, instr, plan, "_f")
             e.emit(indent, f"{dst} = {av}_item(_f)")
-        elif flavor == "buffered":
-            _emit_flat(e, indent, instr, plan, "_f")
-            e.emit(indent, f"_k = ({instr.array!r}, _f)")
-            e.emit(indent, "if _k in _buf:")
-            e.emit(indent + 1, f"{dst} = _buf[_k]")
+            return
+        if instr.array in plan.arrays_stored:
+            e.emit(indent, "_k = (_p, _f)")
+            e.emit(indent, f"if _k in {av}_buf:")
+            e.emit(indent + 1, f"{dst} = {av}_buf[_k]")
             e.emit(indent, "else:")
-            e.emit(
-                indent + 1,
-                f"_reads.append(_AR(_op, 'R', {instr.array!r}, _f))",
-            )
+            e.emit(indent + 1, f"_R += (_p, _op, {a_id}, _f)")
             e.emit(indent + 1, f"{dst} = {av}_item(_f)")
-            e.emit(indent, "_op += 1")
-        else:  # tracing
-            _emit_flat(e, indent, instr, plan, "_f")
-            e.emit(indent, f"_tr.append(_AR(_op, 'R', {instr.array!r}, _f))")
-            e.emit(indent, "_op += 1")
+        else:  # never buffered: every read is upward-exposed
+            e.emit(indent, f"_R += (_p, _op, {a_id}, _f)")
             e.emit(indent, f"{dst} = {av}_item(_f)")
+        e.emit(indent, "_op += 1")
         return
     if op is Opcode.STORE:
         src = f"r{instr.a.id}"
-        _emit_flat(e, indent, instr, plan, "_f")
         if flavor == "direct":
             e.emit(indent, f"{av}_fl[_f] = {src}")
-        elif flavor == "buffered":
-            e.emit(
-                indent, f"_writes.append(_AR(_op, 'W', {instr.array!r}, _f))"
-            )
+        else:
+            e.emit(indent, f"_W += (_p, _op, {a_id}, _f)")
             e.emit(indent, "_op += 1")
-            e.emit(indent, f"_buf[({instr.array!r}, _f)] = {src}")
-        else:  # tracing
-            e.emit(indent, f"_tr.append(_AR(_op, 'W', {instr.array!r}, _f))")
-            e.emit(indent, "_op += 1")
-            e.emit(indent, f"{av}_fl[_f] = {src}")
+            e.emit(indent, f"{av}_buf[(_p, _f)] = {src}")
         return
     raise JaponicaError(f"non-terminator expected, got {op}")
 
@@ -571,8 +563,8 @@ class NativeKernel:
     counters into the caller-owned ``raw`` list (survives exceptions via
     ``try/finally`` in the generated code) and appending each index's
     instruction total to ``per_lane``.  Returns the flavor's auxiliary
-    structure: ``None`` (direct), lanes dict (buffered), traces dict
-    (tracing).
+    structure: ``None`` (direct) or the launch's
+    :class:`~repro.ir.columnar.ColumnarLanes` (buffered).
     """
 
     __slots__ = ("fn", "flavor", "fuel", "source", "_run")

@@ -31,6 +31,7 @@ import numpy as np
 
 from ...errors import NativeMismatch
 from ...obs.metrics import NULL_INSTRUMENTATION, Instrumentation
+from ..columnar import log_differences
 from ..instructions import IRFunction
 from ..interpreter import (
     ArrayStorage,
@@ -40,7 +41,6 @@ from ..interpreter import (
     DirectBackend,
     N_COUNTERS,
     SpeculativeBackend,
-    TracingBackend,
 )
 from ..specvec import VectorizedSpecKernel
 from ..vectorizer import VectorizedKernel
@@ -53,7 +53,6 @@ TIER_NUMBA = "numba"
 _BACKENDS = {
     "direct": DirectBackend,
     "buffered": SpeculativeBackend,
-    "tracing": TracingBackend,
 }
 
 
@@ -301,22 +300,9 @@ class KernelDispatcher:
     ):
         """SE-phase run: per-lane write buffers + read/write logs.
 
-        Returns ``(per_lane, {index: LaneSpecState})``.
+        Returns ``(per_lane, ColumnarLanes)``.
         """
         return self._run(fn, "buffered", indices, scalar_env, storage)
-
-    def run_tracing(
-        self,
-        fn: IRFunction,
-        indices: Sequence[int],
-        scalar_env: dict[str, object],
-        storage: ArrayStorage,
-    ):
-        """Profiling run: direct writes + per-lane address traces.
-
-        Returns ``(per_lane, {index: [AccessRecord]})``.
-        """
-        return self._run(fn, "tracing", indices, scalar_env, storage)
 
     def _run(self, fn, flavor, indices, scalar_env, storage):
         indices = list(indices)
@@ -354,9 +340,7 @@ class KernelDispatcher:
             # and partial counts survive exceptions
             kern.take_counts().add_to_raw(self.counters(fn))
         if flavor == "buffered":
-            return per_lane, backend.lanes
-        if flavor == "tracing":
-            return per_lane, backend.traces
+            return per_lane, backend.finish(indices)
         return per_lane
 
     def _run_src(self, fn, flavor, indices, scalar_env, storage):
@@ -458,8 +442,11 @@ class KernelDispatcher:
                     or not np.array_equal(arr, other)
                 ):
                     diffs.append(f"array {name!r} differs")
-            if flavor != "direct" and native_aux != interp_aux:
-                diffs.append(f"{flavor} lane state differs")
+            if flavor == "buffered":
+                diffs.extend(
+                    f"buffered log {col} differs"
+                    for col in log_differences(native_aux, interp_aux)
+                )
         if diffs:
             self.obs.metrics.counter("kernel.crosscheck.mismatch").inc()
             raise NativeMismatch(

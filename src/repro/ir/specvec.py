@@ -91,10 +91,7 @@ class VectorizedSpecKernel:
 
         if n == 0:
             empty = (np.empty(0, np.int64),) * 4
-            return Counts(), ColumnarLanes(
-                order, np.zeros(0, dtype=bool), names,
-                empty, empty, buffers={}, op_total=0,
-            )
+            return Counts(), ColumnarLanes(order, names, empty, empty, {})
 
         regs: list = [None] * fn.num_regs
         regs[fn.index.id] = indices.astype(np.int32)
@@ -221,10 +218,7 @@ class VectorizedSpecKernel:
             last[:-1] = (pos[:-1] != pos[1:]) | (f[:-1] != f[1:])
             buffers[a_id] = (pos[last], f[last], v[last])
 
-        lanes = ColumnarLanes(
-            order, np.ones(n, dtype=bool), names,
-            reads, writes, buffers=buffers, op_total=op_slot,
-        )
+        lanes = ColumnarLanes(order, names, reads, writes, buffers)
         return Counts.from_raw(raw), lanes
 
 

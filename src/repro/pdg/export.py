@@ -24,7 +24,7 @@ def to_dot(pdg: ProgramDependenceGraph, name: str = "pdg") -> str:
         writes = ",".join(sorted(node.writes)) or "-"
         label = f"{task_id}\\nR: {reads}\\nW: {writes}"
         lines.append(f'  "{task_id}" [label="{label}"];')
-    for src, dst in pdg.g.edges:
+    for src, dst in pdg.edges:
         kinds = pdg.edge_kinds(src, dst).split("+")
         style = _KIND_STYLE.get(kinds[0], "solid")
         label = "+".join(kinds)

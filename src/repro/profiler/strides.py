@@ -20,6 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from ..ir.columnar import ColumnarLanes
+
 
 @dataclass(frozen=True)
 class StridePattern:
@@ -169,31 +173,17 @@ def compress_lane(
     )
 
 
-def compression_ratio(lanes, sample: int = 512) -> float:
-    """Raw trace entries / compressed entries over (a sample of) lanes.
+def compression_ratio(col: ColumnarLanes, sample: int = 512) -> float:
+    """Raw trace entries / compressed entries over the first ``sample``
+    lanes of an SE log.
 
-    ``lanes`` maps iteration -> LaneSpecState (the profiler's SE logs).
     1.0 = nothing gained (fully irregular); large = strided accesses.
+    Per-lane log slices come straight off the sorted (pos, op) columns,
+    already in log order.
     """
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return _compression_ratio_columnar(lanes, sample)
-    return compression_ratio_scalar(lanes, sample)
-
-
-def _compression_ratio_columnar(col, sample: int) -> float:
-    """Columnar twin: per-lane log slices come straight off the sorted
-    (pos, op) columns, already in log order."""
-    import numpy as np
-
-    if col._states is not None:
-        # wrapped scalar logs: sample in dict (insertion) order exactly
-        # like the oracle — the record lists are already materialized
-        return compression_ratio_scalar(col._states, sample)
     raw = 0
     compressed = 0
-    lanes_pos = np.nonzero(col.present)[0][:sample]
+    lanes_pos = np.arange(min(sample, col.n_positions), dtype=np.int64)
     r_lo = np.searchsorted(col.r_pos, lanes_pos)
     r_hi = np.searchsorted(col.r_pos, lanes_pos + 1)
     w_lo = np.searchsorted(col.w_pos, lanes_pos)
@@ -210,26 +200,6 @@ def _compression_ratio_columnar(col, sample: int) -> float:
             compressed += compress_lane(
                 reads.tolist(), writes.tolist()
             ).entries
-    if compressed == 0:
-        return 1.0
-    return raw / compressed
-
-
-def compression_ratio_scalar(lanes, sample: int = 512) -> float:
-    """Reference (per-record) implementation (the cross-check oracle)."""
-    raw = 0
-    compressed = 0
-    for k, (_it, state) in enumerate(lanes.items()):
-        if k >= sample:
-            break
-        per_array: dict[str, tuple[list[int], list[int]]] = {}
-        for rec in state.reads:
-            per_array.setdefault(rec.array, ([], []))[0].append(rec.flat)
-        for rec in state.writes:
-            per_array.setdefault(rec.array, ([], []))[1].append(rec.flat)
-        for reads, writes in per_array.values():
-            raw += len(reads) + len(writes)
-            compressed += compress_lane(reads, writes).entries
     if compressed == 0:
         return 1.0
     return raw / compressed

@@ -18,6 +18,7 @@ from ..ir.interpreter import ArrayStorage
 from .coalesce import estimate_coalescing
 from .density import analyze_lanes
 from .report import DependencyProfile
+from .strides import compression_ratio
 
 #: Cost multiplier of the instrumented kernel vs. the plain kernel.
 INSTRUMENTATION_FACTOR = 2.5
@@ -71,21 +72,10 @@ def profile_loop(
         mode="buffered",
         check_allocations=False,
     )
-    profile = analyze_lanes(launch.lanes, sample, warp_size=wsize)
-    profile.coalescing = estimate_coalescing(launch.lanes, sample, wsize)
-    from .strides import compression_ratio
-
+    profile = analyze_lanes(launch.lanes, warp_size=wsize)
+    profile.coalescing = estimate_coalescing(launch.lanes, wsize)
     profile.compression_ratio = compression_ratio(launch.lanes)
-
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(launch.lanes, ColumnarLanes):
-        logged = launch.lanes.logged_accesses()
-    else:
-        logged = sum(
-            len(state.reads) + len(state.writes)
-            for state in launch.lanes.values()
-        )
+    logged = launch.lanes.logged_accesses()
     profile.profile_time_s = (
         launch.sim_time_s * INSTRUMENTATION_FACTOR
         + logged * ANALYSIS_COST_PER_ACCESS

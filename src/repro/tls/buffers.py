@@ -2,53 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..ir.interpreter import ArrayStorage, LaneSpecState
+from ..ir.columnar import ColumnarLanes
+from ..ir.interpreter import ArrayStorage
 
 
-def buffered_cells(lanes: Mapping[int, LaneSpecState]) -> int:
+def buffered_cells(lanes: ColumnarLanes) -> int:
     """Total buffered cells across lanes (commit-volume metric)."""
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return lanes.buffered_cells()
-    return sum(len(state.buffer) for state in lanes.values())
+    return lanes.buffered_cells()
 
 
 def buffered_bytes(
-    lanes: Mapping[int, LaneSpecState],
+    lanes: ColumnarLanes,
     storage: ArrayStorage,
     iterations: Sequence[int] | None = None,
 ) -> int:
     """Bytes the commit phase must move for the given iterations."""
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return lanes.buffered_bytes(storage, iterations)
-    total = 0
-    wanted = None if iterations is None else set(iterations)
-    for it, state in lanes.items():
-        if wanted is not None and it not in wanted:
-            continue
-        for (name, _flat) in state.buffer:
-            total += storage.arrays[name].dtype.itemsize
-    return total
+    return lanes.buffered_bytes(storage, iterations)
 
 
 def metadata_entries(
-    lanes: Mapping[int, LaneSpecState],
+    lanes: ColumnarLanes,
     iterations: Sequence[int] | None = None,
 ) -> int:
     """Logged accesses the dependency-checking phase must scan."""
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return lanes.metadata_entries(iterations)
-    total = 0
-    wanted = None if iterations is None else set(iterations)
-    for it, state in lanes.items():
-        if wanted is not None and it not in wanted:
-            continue
-        total += len(state.reads) + len(state.writes)
-    return total
+    return lanes.metadata_entries(iterations)

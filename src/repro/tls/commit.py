@@ -11,13 +11,14 @@ re-executed writes from invalidating already-committed state.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..ir.interpreter import ArrayStorage, LaneSpecState
+from ..ir.columnar import ColumnarLanes
+from ..ir.interpreter import ArrayStorage
 
 
 def commit_iterations(
-    lanes: Mapping[int, LaneSpecState],
+    lanes: ColumnarLanes,
     storage: ArrayStorage,
     iterations: Sequence[int],
 ) -> tuple[int, int]:
@@ -25,18 +26,4 @@ def commit_iterations(
 
     Returns ``(cells_written, bytes_written)``.
     """
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return lanes.commit(storage, iterations)
-    cells = 0
-    nbytes = 0
-    for it in iterations:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        for (name, flat), value in state.buffer.items():
-            storage.write_flat(name, flat, value)
-            cells += 1
-            nbytes += storage.arrays[name].dtype.itemsize
-    return cells, nbytes
+    return lanes.commit(storage, iterations)

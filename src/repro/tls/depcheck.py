@@ -12,12 +12,11 @@ iteration order, so the last writer wins as in sequential execution.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..ir.columnar import ColumnarLanes, cell_keys, dedup_first
-from ..ir.interpreter import LaneSpecState
 
 
 @dataclass
@@ -47,26 +46,16 @@ class DcResult:
         return {v.iteration for v in self.violations}
 
 
-def check_subloop(
-    lanes: Mapping[int, LaneSpecState],
-    order: Sequence[int],
-) -> DcResult:
-    """Find RAW violations among the sub-loop's iterations.
+def check_subloop(col: ColumnarLanes) -> DcResult:
+    """Find RAW violations among a sub-loop's iterations.
 
-    ``order`` is the sequential iteration order of the sub-loop (the
-    launch's index list).
+    The sub-loop's sequential order is the launch's lane order.  The
+    latest strictly-earlier writer per deduped read comes from one
+    searchsorted over (cell, position)-sorted writes, then the first
+    violating read per iteration is kept (logs are (pos, op)-sorted,
+    and a cell's violation status is op-independent, so
+    first-occurrence dedup preserves which read reports the violation).
     """
-    if isinstance(lanes, ColumnarLanes) and lanes.matches_order(order):
-        return _check_columnar(lanes)
-    return check_subloop_scalar(lanes, order)
-
-
-def _check_columnar(col: ColumnarLanes) -> DcResult:
-    """Vectorized RAW check: latest strictly-earlier writer per deduped
-    read via one searchsorted over (cell, position)-sorted writes, then
-    the first violating read per iteration (logs are (pos, op)-sorted,
-    and a cell's violation status is op-independent, so first-occurrence
-    dedup preserves which read reports the violation)."""
     result = DcResult()
     r_keys, w_keys, m = cell_keys(col)
     rp, _ro, rk = dedup_first(col.r_pos, col.r_op, r_keys)
@@ -94,50 +83,4 @@ def _check_columnar(col: ColumnarLanes) -> DcResult:
             )
         )
     result.first_violation_pos = int(vp[0])
-    return result
-
-
-def check_subloop_scalar(
-    lanes: Mapping[int, LaneSpecState],
-    order: Sequence[int],
-) -> DcResult:
-    """Reference (per-record) implementation (the cross-check oracle)."""
-    pos = {it: p for p, it in enumerate(order)}
-    # cell -> earliest writer position (the first write wins for "is there
-    # an earlier writer" queries against readers)
-    writer_pos: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for it in order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        p = pos[it]
-        for rec in state.writes:
-            writer_pos.setdefault((rec.array, rec.flat), []).append((p, it))
-
-    result = DcResult()
-    for it in order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        p = pos[it]
-        for rec in state.reads:
-            writers = writer_pos.get((rec.array, rec.flat))
-            if not writers:
-                continue
-            # any earlier writer? (writers are in ascending position order)
-            src = None
-            for wp, wit in writers:
-                if wp >= p:
-                    break
-                src = wit
-            if src is not None:
-                result.violations.append(
-                    Violation(it, src, rec.array, rec.flat)
-                )
-                if (
-                    result.first_violation_pos is None
-                    or p < result.first_violation_pos
-                ):
-                    result.first_violation_pos = p
-                break  # one violation per iteration is enough to squash it
     return result

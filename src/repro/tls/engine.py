@@ -154,7 +154,7 @@ class GpuTlsEngine:
             stats.subloops += 1
             tl.schedule(LANE_GPU, se.kernel_time_s, label=f"SE@{pos}")
 
-            dc = check_subloop(se.lanes, chunk)
+            dc = check_subloop(se.lanes)
             entries = metadata_entries(se.lanes)
             tl.schedule(
                 LANE_GPU,

@@ -95,7 +95,7 @@ def run_privatized(
         elem_bytes=elem_bytes,
     )
     if verify_no_td:
-        dc = check_subloop(launch.lanes, indices)
+        dc = check_subloop(launch.lanes)
         if not dc.ok:
             v = dc.violations[0]
             raise SpeculationError(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..gpusim.device import GpuDevice
 from ..ir.instructions import IRFunction
-from ..ir.interpreter import ArrayStorage, Counts, LaneSpecState
+from ..ir.columnar import ColumnarLanes
+from ..ir.interpreter import ArrayStorage, Counts
 
 #: Cost multiplier of the SE kernel over a plain kernel (write buffering
 #: plus metadata bookkeeping around memory accesses).
@@ -19,7 +20,7 @@ class SeResult:
     """Speculative execution of one sub-loop."""
 
     order: list[int]
-    lanes: Mapping[int, LaneSpecState]
+    lanes: ColumnarLanes
     counts: Counts
     kernel_time_s: float
 

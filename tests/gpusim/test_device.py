@@ -73,7 +73,7 @@ class TestLaunch:
             fn, range(8), {"n": 64}, storage, mode="buffered",
             check_allocations=False,
         )
-        assert len(res.lanes) == 8
+        assert res.lanes.n_positions == 8
 
     def test_unknown_mode(self, device, fn):
         storage = make_storage()

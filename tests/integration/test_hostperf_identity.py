@@ -1,8 +1,10 @@
 """Host-performance plane: observational identity across all workloads.
 
-The columnar profiling fast path must be invisible to everything above
-it: for every Table-II workload, running the full japonica strategy with
-``columnar_profiling`` on vs. off must produce bit-identical array
+The vectorized kernels (specvec for buffered launches, the vectorizer
+for direct ones) must be invisible to everything above them: for every
+Table-II workload, running the full japonica strategy normally and with
+the launch path forced onto the interp/src tiers (``can_vectorize``
+substituted in the device module) must produce bit-identical array
 results, the same simulated times, and equal cached dependency profiles.
 """
 
@@ -13,17 +15,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.gpusim.device as device_mod
 from repro.workloads import ALL_WORKLOADS
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
-def test_columnar_identity(workload):
+def test_columnar_identity(workload, monkeypatch):
     ctx_fast = workload.make_context()
     ctx_slow = workload.make_context()
-    assert ctx_fast.device.columnar_profiling  # fast path is the default
-    ctx_slow.device.columnar_profiling = False
 
     r_fast = workload.run("japonica", context=ctx_fast)
+    monkeypatch.setattr(device_mod, "can_vectorize", lambda fn: False)
     r_slow = workload.run("japonica", context=ctx_slow)
 
     assert r_fast.sim_time_s == r_slow.sim_time_s

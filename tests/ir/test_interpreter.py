@@ -10,12 +10,12 @@ from repro.ir import (
     DirectBackend,
     FuelExhausted,
     SpeculativeBackend,
-    TracingBackend,
     run_sequential,
 )
 from repro.ir.interpreter import Counts
 
 from ..conftest import lowered
+from ..speclog import lane_view
 
 
 def _run(src, arrays, env, start, stop, params=None):
@@ -163,19 +163,6 @@ class TestBackends:
         storage = ArrayStorage({"x": np.ones(4), "y": np.zeros(4)})
         return CompiledKernel(fn), storage
 
-    def test_tracing_backend_records_stream(self):
-        kern, storage = self._kernel_and_storage()
-        backend = TracingBackend(storage)
-        kern.run_index(2, {"n": 4}, backend)
-        recs = backend.traces[2]
-        assert [(r.kind, r.array) for r in recs] == [
-            ("R", "x"),
-            ("W", "y"),
-            ("R", "y"),
-            ("W", "x"),
-        ]
-        assert [r.op for r in recs] == [0, 1, 2, 3]
-
     def test_speculative_buffers_writes(self):
         kern, storage = self._kernel_and_storage()
         before = storage.snapshot()
@@ -184,23 +171,25 @@ class TestBackends:
         # memory untouched
         for name in before:
             assert np.array_equal(storage.arrays[name], before[name])
-        state = backend.lanes[1]
+        state = lane_view(backend.finish([1]))[1]
         assert (("y", 1) in state.buffer) and (("x", 1) in state.buffer)
 
     def test_speculative_read_own_write_not_logged(self):
         kern, storage = self._kernel_and_storage()
         backend = SpeculativeBackend(storage)
         kern.run_index(1, {"n": 4}, backend)
-        state = backend.lanes[1]
+        state = lane_view(backend.finish([1]))[1]
         # reads: x[0] (upward-exposed), y[1] is covered by own write
         assert [(r.array, r.flat) for r in state.reads] == [("x", 0)]
+        # every access takes an op stamp, forwarded reads included
+        assert [r.op for r in state.writes] == [1, 3]
 
     def test_speculative_reads_own_value(self):
         kern, storage = self._kernel_and_storage()
         backend = SpeculativeBackend(storage)
         kern.run_index(1, {"n": 4}, backend)
         # y[1] = x[0]+1 = 2 ; x[1] = 4
-        assert backend.lanes[1].buffer[("x", 1)] == 4.0
+        assert lane_view(backend.finish([1]))[1].buffer[("x", 1)] == 4.0
 
 
 class TestArrayStorage:

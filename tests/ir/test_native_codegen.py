@@ -10,8 +10,8 @@ from repro.ir import (
     DirectBackend,
     FuelExhausted,
     SpeculativeBackend,
-    TracingBackend,
 )
+from repro.ir.columnar import log_differences
 from repro.ir.interpreter import C_TOTAL, Counts, N_COUNTERS
 from repro.ir.native.codegen import FLAVORS, NativeKernel, generate_source
 
@@ -39,7 +39,6 @@ def _interp(fn, flavor, indices, env, storage, fuel=None):
     backend = {
         "direct": DirectBackend,
         "buffered": SpeculativeBackend,
-        "tracing": TracingBackend,
     }[flavor](storage)
     per_lane = []
     err = None
@@ -51,10 +50,8 @@ def _interp(fn, flavor, indices, env, storage, fuel=None):
     except Exception as exc:  # noqa: BLE001 - compared structurally
         err = exc
     aux = None
-    if flavor == "buffered":
-        aux = backend.lanes
-    elif flavor == "tracing":
-        aux = backend.traces
+    if flavor == "buffered" and err is None:
+        aux = backend.finish(list(indices))
     return per_lane, kern.take_counts(), aux, err
 
 
@@ -92,7 +89,10 @@ class TestFlavors:
         assert e1 is None and e2 is None
         assert pl1 == pl2
         assert c1 == c2
-        assert aux1 == aux2
+        if flavor == "buffered":
+            assert log_differences(aux1, aux2) == []
+        else:
+            assert aux1 is aux2 is None
         for name in s1.arrays:
             assert np.array_equal(s1.arrays[name], s2.arrays[name])
             assert s1.arrays[name].dtype == s2.arrays[name].dtype
@@ -106,14 +106,7 @@ class TestFlavors:
         )
         assert err is None
         assert np.array_equal(storage.arrays["b"], before)
-        assert set(lanes) == set(range(8))
-
-    def test_tracing_orders_accesses(self):
-        _, fn = lowered(BRANCHY)
-        s1, s2 = _storage(), _storage()
-        _, _, tr1, _ = _interp(fn, "tracing", range(4), {"n": 8}, s1)
-        _, _, tr2, _ = _native(fn, "tracing", list(range(4)), {"n": 8}, s2)
-        assert tr1 == tr2
+        assert lanes.order.tolist() == list(range(8))
 
 
 class TestFaults:

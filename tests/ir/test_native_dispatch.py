@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import NativeMismatch
 from repro.ir import ArrayStorage
+from repro.ir.columnar import log_differences
 from repro.ir.native import (
     KernelCache,
     KernelDispatcher,
@@ -137,7 +138,7 @@ class TestSharedCache:
 
 
 class TestTierEquivalence:
-    @pytest.mark.parametrize("flavor", ["direct", "buffered", "tracing"])
+    @pytest.mark.parametrize("flavor", ["direct", "buffered"])
     def test_src_tier_bitwise_equal(self, flavor):
         fn = _fn()
         runs = {}
@@ -153,6 +154,9 @@ class TestTierEquivalence:
             runs[native] = (out, d.take_counts(fn), storage)
         out_i, counts_i, st_i = runs[False]
         out_n, counts_n, st_n = runs[True]
+        if flavor == "buffered":
+            (out_i, log_i), (out_n, log_n) = out_i, out_n
+            assert log_differences(log_i, log_n) == []
         assert out_i == out_n
         assert counts_i == counts_n
         for name in st_i.arrays:
@@ -192,6 +196,46 @@ class TestCrosscheck:
         d.cache._src[(fn.fingerprint(), "direct")] = Broken()
         with pytest.raises(NativeMismatch, match="diverged"):
             d.run_direct(fn, list(range(16)), {}, _storage())
+
+    def test_flipped_flat_in_buffered_log_raises(self):
+        d = KernelDispatcher(
+            cache=KernelCache(),
+            policy=TierPolicy(src_threshold=1),
+            crosscheck=True,
+        )
+        fn = _fn()
+        broken = d.cache.src(fn, "buffered")
+
+        class Broken:
+            def run(self, indices, env, storage, raw, per_lane):
+                log = broken.run(indices, env, storage, raw, per_lane)
+                log.w_flat[3] ^= 1
+                return log
+
+        d.cache._src[(fn.fingerprint(), "buffered")] = Broken()
+        with pytest.raises(NativeMismatch, match="write flat column"):
+            d.run_buffered(fn, list(range(16)), {}, _storage())
+
+    def test_nan_buffer_values_pass(self):
+        src = """
+        class T { static void f(double[] a, double[] b, int n) {
+          /* acc parallel */
+          for (int i = 0; i < n; i++) { b[i] = a[i] * 0.0 / 0.0; }
+        } }
+        """
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(
+            cache=KernelCache(),
+            policy=TierPolicy(src_threshold=1),
+            crosscheck=True,
+            obs=obs,
+        )
+        fn = lowered(src)[1]
+        _, log = d.run_buffered(fn, list(range(16)), {}, _storage())
+        _pos, _flat, values = log.buffers[log.names.index("b")]
+        assert np.isnan(values).all()
+        assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
+        assert obs.metrics.counter("kernel.crosscheck.mismatch").value == 0
 
     def test_interpreter_effects_win(self):
         d = KernelDispatcher(

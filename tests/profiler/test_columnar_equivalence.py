@@ -1,38 +1,51 @@
-"""Columnar fast path vs. scalar oracle: observational identity.
+"""Vectorized SE kernel vs. the scalar buffered tiers: log identity.
 
-The host-performance plane replaces the scalar SE interpreter + scalar
-analysis passes with vectorized address-stream generation and NumPy
-group/sort analysis.  The hard contract is that the fast path is
-*observationally identical*: for any straight-line kernel, profiling
-through the columnar path must produce a ``DependencyProfile`` equal to
-the scalar oracle field for field, the TLS dependence check must find
-the same violations, and committing the speculative buffers must leave
-memory bit-identical.
+Straight-line kernels take the vectorized SE kernel (specvec); every
+other kernel runs through the interpreter / generated-source buffered
+tiers.  Both write the same columnar access log, and the hard contract
+is that they write *the same* log: for any straight-line kernel, the
+specvec log must equal the one the scalar tiers build column by column
+(buffer values bitwise, NaN-aware).  On top of that each production
+analysis (density, coalescing, stride compression, dependency checking,
+commit, buffer volumes) must agree with its per-record reference oracle
+(:mod:`tests.oracles`) over the same columns.
 
-The suite drives randomized parametrized kernels (hypothesis) through
-both paths side by side.
+The scalar tiers are forced by substituting ``can_vectorize`` in the
+device module, the one place the launch path is chosen.  The suite
+drives randomized parametrized kernels (hypothesis) through both paths
+side by side.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.gpusim.device as device_mod
 from repro.ir import ArrayStorage
-from repro.ir.columnar import ColumnarLanes
-from repro.profiler.coalesce import (
-    estimate_coalescing,
-    estimate_coalescing_scalar,
-)
-from repro.profiler.density import analyze_lanes, analyze_lanes_scalar
-from repro.profiler.strides import compression_ratio, compression_ratio_scalar
+from repro.ir.columnar import log_differences
+from repro.profiler.coalesce import estimate_coalescing
+from repro.profiler.density import analyze_lanes
+from repro.profiler.strides import compression_ratio
 from repro.profiler.trace import profile_loop
 from repro.scheduler.context import ExecutionContext
-from repro.tls.depcheck import check_subloop, check_subloop_scalar
+from repro.tls.buffers import buffered_bytes, buffered_cells, metadata_entries
+from repro.tls.commit import commit_iterations
+from repro.tls.depcheck import check_subloop
 
 from ..conftest import lowered
+from ..oracles import (
+    analyze_lanes_scalar,
+    check_subloop_scalar,
+    commit_iterations_scalar,
+    compression_ratio_scalar,
+    estimate_coalescing_scalar,
+)
+from ..speclog import lane_view
 
 # ---------------------------------------------------------------------------
 # Randomized straight-line kernel templates.  Strides/offsets are drawn
@@ -127,23 +140,29 @@ def _make_case(template_id, n, s, o, t, p, k, m, seed):
     return src, arrays, env
 
 
+@contextlib.contextmanager
+def scalar_tiers():
+    """Every launch inside takes the interp/src tiers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(device_mod, "can_vectorize", lambda fn: False)
+        yield
+
+
 def _both_launches(src, arrays, env, n):
     """Launch the kernel buffered through both paths; return launches."""
     _, fn = lowered(src)
     indices = list(range(n))
 
-    ctx_fast = ExecutionContext()
-    ctx_slow = ExecutionContext()
-    ctx_slow.device.columnar_profiling = False
-
     st_fast = ArrayStorage({k: v.copy() for k, v in arrays.items()})
     st_slow = ArrayStorage({k: v.copy() for k, v in arrays.items()})
-    fast = ctx_fast.device.launch(
+    fast = ExecutionContext().device.launch(
         fn, indices, env, st_fast, mode="buffered", check_allocations=False
     )
-    slow = ctx_slow.device.launch(
-        fn, indices, env, st_slow, mode="buffered", check_allocations=False
-    )
+    with scalar_tiers():
+        slow = ExecutionContext().device.launch(
+            fn, indices, env, st_slow, mode="buffered",
+            check_allocations=False,
+        )
     return fn, indices, fast, st_fast, slow, st_slow
 
 
@@ -156,49 +175,67 @@ def assert_profiles_equal(p_fast, p_slow):
         )
 
 
+def assert_matches_oracles(log, indices, arrays):
+    """Every production analysis of ``log`` equals its oracle's."""
+    view = lane_view(log)
+    assert list(view) == indices
+
+    p_prod = analyze_lanes(log, warp_size=32)
+    p_ref = analyze_lanes_scalar(view, indices, warp_size=32)
+    p_prod.coalescing = estimate_coalescing(log, 32)
+    p_ref.coalescing = estimate_coalescing_scalar(view, indices, 32)
+    p_prod.compression_ratio = compression_ratio(log)
+    p_ref.compression_ratio = compression_ratio_scalar(view)
+    assert_profiles_equal(p_prod, p_ref)
+
+    c_prod = check_subloop(log)
+    c_ref = check_subloop_scalar(view, indices)
+    assert c_prod.violations == c_ref.violations
+    assert c_prod.first_violation_pos == c_ref.first_violation_pos
+
+    # committing the buffers leaves memory bit-identical
+    st_prod = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+    st_ref = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+    assert commit_iterations(log, st_prod, indices) == (
+        commit_iterations_scalar(view, st_ref, indices)
+    )
+    for name in arrays:
+        assert np.array_equal(
+            st_prod.arrays[name], st_ref.arrays[name], equal_nan=True
+        ), name
+
+    # buffer-volume metrics the TLS engine charges
+    assert buffered_cells(log) == sum(len(s.buffer) for s in view.values())
+    assert buffered_bytes(log, st_prod) == sum(
+        st_prod.arrays[name].dtype.itemsize
+        for s in view.values()
+        for (name, _flat) in s.buffer
+    )
+    assert metadata_entries(log) == sum(
+        len(s.reads) + len(s.writes) for s in view.values()
+    )
+
+
 def assert_equivalent(src, arrays, env, n):
     fn, indices, fast, st_fast, slow, st_slow = _both_launches(
         src, arrays, env, n
     )
     if n > 0:
-        assert isinstance(fast.lanes, ColumnarLanes), "fast path not taken"
+        assert fast.vectorized, "specvec path not taken"
+    assert not slow.vectorized
     assert fast.counts == slow.counts
     assert fast.sim_time_s == slow.sim_time_s
 
-    # analysis passes: columnar vs. explicitly-scalar oracle
-    p_fast = analyze_lanes(fast.lanes, indices, warp_size=32)
-    p_slow = analyze_lanes_scalar(slow.lanes, indices, warp_size=32)
-    p_fast.coalescing = estimate_coalescing(fast.lanes, indices, 32)
-    p_slow.coalescing = estimate_coalescing_scalar(slow.lanes, indices, 32)
-    p_fast.compression_ratio = compression_ratio(fast.lanes)
-    p_slow.compression_ratio = compression_ratio_scalar(slow.lanes)
-    assert_profiles_equal(p_fast, p_slow)
+    # the two paths write the same log, column by column
+    assert log_differences(fast.lanes, slow.lanes) == []
 
-    # TLS dependence check
-    c_fast = check_subloop(fast.lanes, indices)
-    c_slow = check_subloop_scalar(slow.lanes, indices)
-    assert c_fast.violations == c_slow.violations
-    assert c_fast.first_violation_pos == c_slow.first_violation_pos
+    for log in (fast.lanes, slow.lanes):
+        assert_matches_oracles(log, indices, arrays)
 
-    # committing the buffers leaves memory bit-identical
-    from repro.tls.commit import commit_iterations
-
-    cells_f, bytes_f = commit_iterations(fast.lanes, st_fast, indices)
-    cells_s, bytes_s = commit_iterations(slow.lanes, st_slow, indices)
-    assert (cells_f, bytes_f) == (cells_s, bytes_s)
+    # buffered launches never touch memory
     for name in arrays:
-        assert np.array_equal(
-            st_fast.arrays[name], st_slow.arrays[name], equal_nan=True
-        ), name
-
-    # buffer-volume metrics the TLS engine charges
-    from repro.tls.buffers import buffered_bytes, buffered_cells, metadata_entries
-
-    assert buffered_cells(fast.lanes) == buffered_cells(slow.lanes)
-    assert buffered_bytes(fast.lanes, st_fast) == buffered_bytes(
-        slow.lanes, st_slow
-    )
-    assert metadata_entries(fast.lanes) == metadata_entries(slow.lanes)
+        assert np.array_equal(st_fast.arrays[name], arrays[name]), name
+        assert np.array_equal(st_slow.arrays[name], arrays[name]), name
 
 
 class TestPropertyEquivalence:
@@ -232,19 +269,17 @@ class TestProfileLoopEndToEnd:
     def test_profile_loop_equal_profiles(self):
         src, arrays, env = _make_case(0, 80, 2, 1, 3, 0, 0, 1, 21)
         _, fn = lowered(src)
-        ctx_fast = ExecutionContext()
-        ctx_slow = ExecutionContext()
-        ctx_slow.device.columnar_profiling = False
         run_fast = profile_loop(
-            ctx_fast.device, fn, range(80), env,
+            ExecutionContext().device, fn, range(80), env,
             ArrayStorage({k: v.copy() for k, v in arrays.items()}),
             max_sample=64,
         )
-        run_slow = profile_loop(
-            ctx_slow.device, fn, range(80), env,
-            ArrayStorage({k: v.copy() for k, v in arrays.items()}),
-            max_sample=64,
-        )
+        with scalar_tiers():
+            run_slow = profile_loop(
+                ExecutionContext().device, fn, range(80), env,
+                ArrayStorage({k: v.copy() for k, v in arrays.items()}),
+                max_sample=64,
+            )
         assert run_fast.sampled_iterations == run_slow.sampled_iterations
         assert_profiles_equal(run_fast.profile, run_slow.profile)
         assert run_fast.profile.profile_time_s == run_slow.profile.profile_time_s

@@ -4,28 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir.interpreter import AccessRecord, LaneSpecState
 from repro.profiler.density import analyze_lanes
 
+from ..speclog import build_log, lane
 
-def lane(reads=(), writes=()):
-    """Build a LaneSpecState from (array, flat) tuples."""
-    state = LaneSpecState()
-    op = 0
-    for array, flat in reads:
-        state.reads.append(AccessRecord(op, "R", array, flat))
-        op += 1
-    for array, flat in writes:
-        state.writes.append(AccessRecord(op, "W", array, flat))
-        state.buffer[(array, flat)] = 0
-        op += 1
-    return state
+
+def analyze(lanes, order, warp_size=32):
+    """Profile per-lane fixtures launched in ``order``."""
+    return analyze_lanes(build_log(lanes, order), warp_size=warp_size)
 
 
 class TestTrueDeps:
     def test_no_deps(self):
         lanes = {i: lane(writes=[("x", i)]) for i in range(8)}
-        p = analyze_lanes(lanes, list(range(8)))
+        p = analyze(lanes, list(range(8)))
         assert p.td_pairs == 0 and p.fd_pairs == 0
         assert p.td_density == 0.0
 
@@ -38,7 +30,7 @@ class TestTrueDeps:
             )
             for i in range(10)
         }
-        p = analyze_lanes(lanes, list(range(10)))
+        p = analyze(lanes, list(range(10)))
         assert p.has_true
         assert p.td_density == pytest.approx(1.0)
         assert p.td_distances == {1: 9}
@@ -49,7 +41,7 @@ class TestTrueDeps:
         for i in range(100):
             reads = [("x", 0)] if (i % 5 == 0 and i > 0) else []
             lanes[i] = lane(reads=reads, writes=[("x", i + 1000), ("x", 0)] if i == 0 else [("x", i + 1000)])
-        p = analyze_lanes(lanes, list(range(100)))
+        p = analyze(lanes, list(range(100)))
         assert p.has_true
         assert p.td_density == pytest.approx(19 / 99)
 
@@ -58,7 +50,7 @@ class TestTrueDeps:
             0: lane(reads=[("x", 5)]),
             1: lane(writes=[("x", 5)]),
         }
-        p = analyze_lanes(lanes, [0, 1])
+        p = analyze(lanes, [0, 1])
         assert p.td_pairs == 0
         assert p.fd_pairs == 1  # WAR
 
@@ -68,7 +60,7 @@ class TestTrueDeps:
             1: lane(reads=[("x", 0)]),  # same warp as 0
             40: lane(reads=[("x", 0)]),  # different warp
         }
-        p = analyze_lanes(lanes, [0, 1] + list(range(2, 41)), warp_size=32)
+        p = analyze(lanes, [0, 1] + list(range(2, 41)), warp_size=32)
         assert p.intra_warp_td == 1
         assert p.inter_warp_td == 1
         assert 0 in p.td_warps and 1 in p.td_warps
@@ -78,14 +70,14 @@ class TestTrueDeps:
             0: lane(writes=[("x", 0)]),
             1: lane(reads=[("x", 0)], writes=[("y", 1)]),
         }
-        p = analyze_lanes(lanes, [0, 1])
+        p = analyze(lanes, [0, 1])
         assert p.td_arrays == {"x"}
 
 
 class TestFalseDeps:
     def test_waw_only(self):
         lanes = {i: lane(writes=[("t", 0)]) for i in range(6)}
-        p = analyze_lanes(lanes, list(range(6)))
+        p = analyze(lanes, list(range(6)))
         assert not p.has_true
         assert p.has_false
         assert p.fd_pairs == 5
@@ -97,21 +89,21 @@ class TestFalseDeps:
             0: lane(writes=[("t", 0), ("x", 0)]),
             1: lane(reads=[("x", 0)], writes=[("t", 0), ("x", 1)]),
         }
-        p = analyze_lanes(lanes, [0, 1])
+        p = analyze(lanes, [0, 1])
         assert p.td_arrays == {"x"}
         assert "t" in p.privatizable_arrays
         assert not p.privatizable  # x carries a TD
 
     def test_uniform_write_sets(self):
         lanes = {i: lane(writes=[("t", 0), ("t", 1)]) for i in range(4)}
-        p = analyze_lanes(lanes, list(range(4)))
+        p = analyze(lanes, list(range(4)))
         assert "t" in p.uniform_write_arrays
 
     def test_non_uniform_write_sets(self):
         lanes = {
             i: lane(writes=[("t", i % 2)]) for i in range(4)
         }
-        p = analyze_lanes(lanes, list(range(4)))
+        p = analyze(lanes, list(range(4)))
         assert "t" not in p.uniform_write_arrays
 
     def test_skipping_iteration_breaks_uniformity(self):
@@ -120,21 +112,21 @@ class TestFalseDeps:
             1: lane(),
             2: lane(writes=[("t", 0)]),
         }
-        p = analyze_lanes(lanes, [0, 1, 2])
+        p = analyze(lanes, [0, 1, 2])
         assert "t" not in p.uniform_write_arrays
 
 
 class TestDensityClass:
     def test_classes(self):
         lanes = {i: lane(writes=[("x", i)]) for i in range(4)}
-        p = analyze_lanes(lanes, list(range(4)))
+        p = analyze(lanes, list(range(4)))
         assert p.density_class() == "zero"
 
         chain = {
             i: lane(reads=[("x", i - 1)] if i else [], writes=[("x", i)])
             for i in range(4)
         }
-        p2 = analyze_lanes(chain, list(range(4)))
+        p2 = analyze(chain, list(range(4)))
         assert p2.density_class(threshold=0.3) == "high"
         assert p2.density_class(threshold=2.0) == "low"
 
@@ -162,5 +154,5 @@ def test_density_matches_bruteforce_oracle(n, seed):
         for i in range(j):
             if writes_of[i] & reads_of[j]:
                 oracle_targets.add(j)
-    p = analyze_lanes(lanes, list(range(n)))
+    p = analyze(lanes, list(range(n)))
     assert p.td_density == pytest.approx(len(oracle_targets) / (n - 1))

@@ -13,6 +13,8 @@ from repro.profiler.strides import (
     patterns_intersect,
 )
 
+from ..speclog import build_log
+
 
 class TestCompression:
     def test_unit_stride_run(self):
@@ -134,7 +136,7 @@ class TestRatio:
         assert run.profile.compression_ratio > 10
 
     def test_empty_lanes(self):
-        assert compression_ratio({}) == 1.0
+        assert compression_ratio(build_log({}, [])) == 1.0
 
     def test_compress_lane(self):
         trace = compress_lane([0, 1, 2, 3], [100])

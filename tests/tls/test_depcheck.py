@@ -4,34 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir.interpreter import AccessRecord, LaneSpecState
 from repro.tls.depcheck import check_subloop
 
+from ..speclog import build_log, lane
 
-def lane(reads=(), writes=()):
-    state = LaneSpecState()
-    op = 0
-    for array, flat in reads:
-        state.reads.append(AccessRecord(op, "R", array, flat))
-        op += 1
-    for array, flat in writes:
-        state.writes.append(AccessRecord(op, "W", array, flat))
-        state.buffer[(array, flat)] = 1.0
-        op += 1
-    return state
+
+def dc_check(lanes, order):
+    """DC phase over per-lane fixtures launched in ``order``."""
+    return check_subloop(build_log(lanes, order))
 
 
 class TestCheck:
     def test_clean_subloop(self):
         lanes = {i: lane(writes=[("x", i)]) for i in range(8)}
-        assert check_subloop(lanes, list(range(8))).ok
+        assert dc_check(lanes, list(range(8))).ok
 
     def test_raw_violation_found(self):
         lanes = {
             0: lane(writes=[("x", 3)]),
             1: lane(reads=[("x", 3)]),
         }
-        dc = check_subloop(lanes, [0, 1])
+        dc = dc_check(lanes, [0, 1])
         assert not dc.ok
         v = dc.violations[0]
         assert (v.iteration, v.src_iteration) == (1, 0)
@@ -43,11 +36,11 @@ class TestCheck:
             0: lane(reads=[("x", 3)]),
             1: lane(writes=[("x", 3)]),
         }
-        assert check_subloop(lanes, [0, 1]).ok
+        assert dc_check(lanes, [0, 1]).ok
 
     def test_waw_is_not_a_violation(self):
         lanes = {i: lane(writes=[("x", 0)]) for i in range(4)}
-        assert check_subloop(lanes, list(range(4))).ok
+        assert dc_check(lanes, list(range(4))).ok
 
     def test_earliest_violation_position(self):
         lanes = {
@@ -56,7 +49,7 @@ class TestCheck:
             2: lane(reads=[("x", 5)]),
             3: lane(reads=[("x", 0)]),
         }
-        dc = check_subloop(lanes, [0, 1, 2, 3])
+        dc = dc_check(lanes, [0, 1, 2, 3])
         assert dc.first_violation_pos == 2
         assert dc.violating_iterations == {2, 3}
 
@@ -65,7 +58,7 @@ class TestCheck:
             0: lane(writes=[("x", 0), ("x", 1)]),
             1: lane(reads=[("x", 0), ("x", 1)]),
         }
-        dc = check_subloop(lanes, [0, 1])
+        dc = dc_check(lanes, [0, 1])
         assert len(dc.violations) == 1
 
     def test_position_zero_cannot_violate(self):
@@ -75,14 +68,14 @@ class TestCheck:
             8: lane(writes=[("x", 0)]),
         }
         # order is [7, 8]: 7 reads before 8 writes -> fine
-        assert check_subloop(lanes, [7, 8]).ok
+        assert dc_check(lanes, [7, 8]).ok
 
     def test_order_is_what_matters_not_ids(self):
         lanes = {
             7: lane(reads=[("x", 0)]),
             8: lane(writes=[("x", 0)]),
         }
-        dc = check_subloop(lanes, [8, 7])  # 8 writes first in order
+        dc = dc_check(lanes, [8, 7])  # 8 writes first in order
         assert not dc.ok
         assert dc.violations[0].iteration == 7
 
@@ -105,7 +98,7 @@ def test_violations_match_oracle(n, seed):
         for i in range(j):
             if writes_of[i] & reads_of[j]:
                 oracle.add(j)
-    dc = check_subloop(lanes, list(range(n)))
+    dc = dc_check(lanes, list(range(n)))
     assert dc.violating_iterations == oracle
     if oracle:
         assert dc.first_violation_pos == min(oracle)

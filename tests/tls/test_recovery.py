@@ -90,19 +90,19 @@ class TestBuffers:
     def test_metadata_and_bytes_helpers(self):
         import numpy as np
 
-        from repro.ir.interpreter import AccessRecord, ArrayStorage, LaneSpecState
+        from repro.ir.interpreter import ArrayStorage
         from repro.tls.buffers import (
             buffered_bytes,
             buffered_cells,
             metadata_entries,
         )
 
+        from ..speclog import build_log, lane
+
         storage = ArrayStorage({"x": np.zeros(8)})
-        s = LaneSpecState()
-        s.reads.append(AccessRecord(0, "R", "x", 0))
-        s.writes.append(AccessRecord(1, "W", "x", 1))
-        s.buffer[("x", 1)] = 2.0
-        lanes = {0: s}
+        lanes = build_log(
+            {0: lane(reads=[("x", 0)], writes=[("x", 1)], value=2.0)}, [0]
+        )
         assert metadata_entries(lanes) == 2
         assert buffered_cells(lanes) == 1
         assert buffered_bytes(lanes, storage) == 8
