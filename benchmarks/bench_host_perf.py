@@ -208,10 +208,11 @@ def measure_insight() -> dict:
 def measure_kernel_tiers(n: int) -> dict:
     """One hot launch per tier; wall-clock each and compare outputs.
 
-    The dispatcher is driven directly (policy thresholds at 1) so each
-    leg runs entirely in one tier: a warm launch first to pay compiles
-    and promotion, then the timed launch.  The numba leg only appears
-    when numba is importable and its self-test passes.
+    The dispatcher is driven directly so each leg runs entirely in one
+    tier (``native`` off for the interpreter, on for src, the numba
+    threshold at 1 for numba): a warm launch first to pay compiles,
+    then the timed launch.  The numba leg only appears when numba is
+    importable and its self-test passes.
     """
     import numpy as np
 
@@ -243,11 +244,11 @@ def measure_kernel_tiers(n: int) -> dict:
             disp.take_counts(fn)
             return dt, stg.arrays["c"]
 
-        launch()  # warm: compile + cross the promotion threshold
+        launch()  # warm: pay the compile
         return launch()
 
     interp_s, c_interp = timed(False, TierPolicy())
-    src_s, c_src = timed(True, TierPolicy(src_threshold=1))
+    src_s, c_src = timed(True, TierPolicy())
     out = {
         "interp_s": interp_s,
         "src_s": src_s,
@@ -256,9 +257,7 @@ def measure_kernel_tiers(n: int) -> dict:
         "numba": None,
     }
     if numba_backend.available():
-        numba_s, c_numba = timed(
-            True, TierPolicy(src_threshold=1, numba_threshold=1)
-        )
+        numba_s, c_numba = timed(True, TierPolicy(numba_threshold=1))
         out["numba"] = {
             "numba_s": numba_s,
             "numba_speedup": interp_s / numba_s,

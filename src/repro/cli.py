@@ -687,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--native", action=argparse.BooleanOptionalAction, default=True,
-        help="tiered native kernel backend: hot kernels are promoted "
-             "from the IR interpreter to generated type-specialized "
-             "source (results stay bit-identical; --no-native forces "
-             "the interpreter everywhere)",
+        help="tiered native kernel backend: kernels run on generated "
+             "type-specialized source instead of the IR interpreter "
+             "(results stay bit-identical; --no-native forces the "
+             "interpreter everywhere)",
     )
     run_p.add_argument(
         "--native-crosscheck", action="store_true",

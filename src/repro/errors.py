@@ -126,11 +126,11 @@ class UnrecoverableFaultError(RuntimeFaultError):
 class NativeMismatch(JaponicaError):
     """A native kernel tier diverged from the interpreter oracle.
 
-    Raised only in ``native_crosscheck`` mode, where every promoted
-    kernel execution is replayed through the scalar interpreter and the
+    Raised only in ``native_crosscheck`` mode, where every native
+    kernel launch is replayed through the scalar interpreter and the
     two results are compared bitwise (arrays, work counts, per-lane
-    totals, speculative lane state, address traces).  The interpreter's
-    result always wins; this error names what diverged.
+    totals, the buffered access log).  The interpreter's result always
+    wins; this error names what diverged.
     """
 
 

@@ -19,7 +19,8 @@ adds two faster tiers that preserve its observable behaviour exactly:
     compile fails.
 
 :class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers:
-kernels start on the interpreter, are promoted by a hotness counter, and
+every kernel runs on ``src`` from its first launch, hot direct kernels
+are promoted to ``numba`` by a hotness counter, and every native launch
 can be crosschecked bit-for-bit against the interpreter oracle.
 """
 

@@ -12,12 +12,14 @@ pool compiles each kernel once:
   their counters and backend) is cached per *thread*, which still
   deduplicates the per-device copies of the old per-instance caches.
 
-Tier ladder per kernel: ``interp`` → ``src`` → ``numba``.  Promotion is
-by a cumulative iteration count (one large launch promotes immediately);
-the numba tier applies to the direct flavor only and is skipped silently
-when numba is not importable or its compile fails.  ``crosscheck`` mode
-replays every native execution through the interpreter oracle and
-compares results bitwise — the oracle's effects always win.
+With ``native`` on, every kernel runs on ``src`` from its first launch;
+the scalar interpreter serves ``native=False`` and is the crosscheck
+oracle.  The one promotion is ``src`` → ``numba``, by a cumulative
+iteration count (one large launch promotes immediately); it applies to
+the direct flavor only and is skipped silently when numba is not
+importable or its compile fails.  ``crosscheck`` mode replays every
+native execution through the interpreter oracle and compares results
+bitwise — the oracle's effects always win.
 """
 
 from __future__ import annotations
@@ -58,14 +60,10 @@ _BACKENDS = {
 
 @dataclass
 class TierPolicy:
-    """Promotion thresholds, in cumulative iterations per kernel."""
+    """The numba promotion threshold, in cumulative iterations per kernel."""
 
-    #: iterations before a kernel is promoted to generated source
-    src_threshold: int = 256
     #: iterations before the numba tier is attempted (direct flavor only)
     numba_threshold: int = 65536
-    enable_src: bool = True
-    enable_numba: bool = True
 
 
 class KernelCache:
@@ -199,7 +197,7 @@ class KernelDispatcher:
     execution context; it owns the per-kernel raw work counters (so
     partial counts from faulted attempts accumulate exactly as the old
     per-device ``CompiledKernel`` counters did) and the hotness state
-    driving promotion.
+    driving numba promotion.
     """
 
     def __init__(
@@ -219,7 +217,7 @@ class KernelDispatcher:
         self.fuel = fuel
         self._raw: dict[str, list[int]] = {}
         self._hot: dict[str, int] = {}
-        self._tier: dict[str, str] = {}
+        self._promoted: set[str] = set()
 
     # -- counters -------------------------------------------------------
 
@@ -244,31 +242,24 @@ class KernelDispatcher:
     # -- tier selection -------------------------------------------------
 
     def _select(self, fn: IRFunction, flavor: str, n: int) -> str:
+        if not self.native:
+            return TIER_INTERP
         key = fn.fingerprint()
         hot = self._hot.get(key, 0) + n
         self._hot[key] = hot
-        pol = self.policy
-        tier = TIER_INTERP
-        if self.native and pol.enable_src and hot >= pol.src_threshold:
-            tier = TIER_SRC
-            if (
-                pol.enable_numba
-                and flavor == "direct"
-                and hot >= pol.numba_threshold
-            ):
-                tier = TIER_NUMBA
-        previous = self._tier.get(key, TIER_INTERP)
-        if tier != previous:
-            self._tier[key] = tier
+        if flavor != "direct" or hot < self.policy.numba_threshold:
+            return TIER_SRC
+        if key not in self._promoted:
+            self._promoted.add(key)
             with self.obs.tracer.span(
                 f"promote:{fn.name}",
                 "kernel",
-                tier=tier,
-                from_tier=previous,
+                tier=TIER_NUMBA,
+                from_tier=TIER_SRC,
                 hot_iterations=hot,
             ):
                 pass
-        return tier
+        return TIER_NUMBA
 
     def _record(self, tier: str, flavor: str, n: int) -> None:
         m = self.obs.metrics

@@ -51,14 +51,14 @@ class JaponicaConfig:
     link_scale: float = 1.0
     #: simulated GPUs in the device pool (1 = the seed single-GPU path)
     devices: int = 1
-    #: tiered native kernel backend: promote hot kernels from the
-    #: interpreter to generated type-specialized source (and numba where
+    #: tiered native kernel backend: run every kernel on generated
+    #: type-specialized source (and promote hot ones to numba where
     #: importable).  Semantics are bit-identical by construction; turn
     #: off to force the interpreter everywhere.
     native: bool = True
     #: run every native launch twice — native on scratch storage, the
     #: interpreter on the real storage — and raise NativeMismatch on any
-    #: divergence (arrays, counters, per-lane fuel, lane states)
+    #: divergence (arrays, counters, per-lane fuel, buffered access log)
     native_crosscheck: bool = False
 
 

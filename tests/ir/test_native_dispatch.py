@@ -1,4 +1,4 @@
-"""Kernel dispatcher: tiering, promotion, shared cache, crosscheck."""
+"""Kernel dispatcher: entry tier, numba promotion, shared cache, crosscheck."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.ir.columnar import log_differences
 from repro.ir.native import (
     KernelCache,
     KernelDispatcher,
-    TIER_INTERP,
+    TIER_NUMBA,
     TIER_SRC,
     TierPolicy,
 )
@@ -38,71 +38,73 @@ def _storage(n=16):
 
 
 class TestPromotion:
-    def test_cold_kernel_uses_interpreter(self):
-        d = KernelDispatcher(cache=KernelCache(), policy=TierPolicy())
-        fn = _fn()
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        assert d._tier.get(fn.fingerprint(), TIER_INTERP) == TIER_INTERP
-        assert d.cache.compiles["src"] == 0
-
-    def test_hot_kernel_promotes_to_src(self):
-        d = KernelDispatcher(
-            cache=KernelCache(), policy=TierPolicy(src_threshold=16)
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        assert d._tier[fn.fingerprint()] == TIER_SRC
-        assert d.cache.compiles["src"] == 1
-
-    def test_one_large_launch_promotes_immediately(self):
-        d = KernelDispatcher(
-            cache=KernelCache(), policy=TierPolicy(src_threshold=16)
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(16)), {}, _storage())
-        assert d._tier[fn.fingerprint()] == TIER_SRC
-
-    def test_native_off_never_promotes(self):
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
-            native=False,
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(16)), {}, _storage())
-        assert d.cache.compiles["src"] == 0
-
-    def test_promotion_emits_tracer_span(self):
-        obs = Instrumentation.recording()
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
-            obs=obs,
-        )
+    def test_first_launch_compiles_src(self):
+        cache = KernelCache()
+        d = KernelDispatcher(cache=cache)
         fn = _fn()
         d.run_direct(fn, [0, 1], {}, _storage())
+        assert cache.compiles["src"] == 1
+        assert cache.compiles["interp"] == 0
+        ref = KernelDispatcher(cache=KernelCache(), native=False)
+        ref.run_direct(fn, [0, 1], {}, _storage())
+        assert d.take_counts(fn) == ref.take_counts(fn)
+
+    def test_repeat_launches_reuse_one_src_compile(self):
+        cache = KernelCache()
+        d = KernelDispatcher(cache=cache)
+        fn = _fn()
+        d.run_direct(fn, list(range(8)), {}, _storage())
+        d.run_direct(fn, list(range(8)), {}, _storage())
+        assert cache.compiles["src"] == 1
+        assert cache.compiles["interp"] == 0
+
+    def test_native_off_never_promotes(self):
+        cache = KernelCache()
+        d = KernelDispatcher(cache=cache, native=False)
+        fn = _fn()
+        d.run_direct(fn, list(range(16)), {}, _storage())
+        assert cache.compiles["src"] == 0
+        assert cache.compiles["interp"] == 1
+
+    def test_src_entry_emits_no_promote_span(self):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), obs=obs)
+        fn = _fn()
+        d.run_direct(fn, [0, 1], {}, _storage())
+        assert not [
+            s for s in obs.tracer.finished_spans()
+            if s.name.startswith("promote:")
+        ]
+
+    def test_one_large_launch_promotes_immediately(self):
+        # the one remaining rung: a span marks src -> numba, and the
+        # launch still runs (on src when numba is absent)
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(
+            cache=KernelCache(), policy=TierPolicy(numba_threshold=16), obs=obs
+        )
+        fn = _fn()
+        d.run_direct(fn, list(range(16)), {}, _storage())
+        d.run_direct(fn, list(range(16)), {}, _storage())
         spans = [
             s for s in obs.tracer.finished_spans()
             if s.name.startswith("promote:")
         ]
         assert len(spans) == 1
-        assert spans[0].attrs["tier"] == TIER_SRC
-        assert spans[0].attrs["from_tier"] == TIER_INTERP
+        assert spans[0].attrs["tier"] == TIER_NUMBA
+        assert spans[0].attrs["from_tier"] == TIER_SRC
+        assert spans[0].attrs["hot_iterations"] == 16
 
     def test_tier_counters_recorded(self):
         obs = Instrumentation.recording()
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            policy=TierPolicy(src_threshold=16),
-            obs=obs,
-        )
+        d = KernelDispatcher(cache=KernelCache(), obs=obs)
         fn = _fn()
         d.run_direct(fn, list(range(8)), {}, _storage())
         d.run_direct(fn, list(range(8)), {}, _storage())
         m = obs.metrics
-        assert m.counter("kernel.tier.interp").value == 1
-        assert m.counter("kernel.tier.src").value == 1
+        assert m.counter("kernel.tier.interp").value == 0
+        assert m.counter("kernel.tier.src").value == 2
+        assert m.counter("kernel.tier.src.iterations").value == 16
         assert m.counter("kernel.compile_s.src").value > 0
 
 
@@ -110,9 +112,8 @@ class TestSharedCache:
     def test_two_dispatchers_share_compiles(self):
         # N devices / executors of one process compile each kernel once
         cache = KernelCache()
-        pol = TierPolicy(src_threshold=1)
-        d1 = KernelDispatcher(cache=cache, policy=pol)
-        d2 = KernelDispatcher(cache=cache, policy=pol)
+        d1 = KernelDispatcher(cache=cache)
+        d2 = KernelDispatcher(cache=cache)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         d2.run_direct(fn, list(range(8)), {}, _storage())
@@ -120,9 +121,8 @@ class TestSharedCache:
 
     def test_counters_are_per_dispatcher(self):
         cache = KernelCache()
-        pol = TierPolicy(src_threshold=1)
-        d1 = KernelDispatcher(cache=cache, policy=pol)
-        d2 = KernelDispatcher(cache=cache, policy=pol)
+        d1 = KernelDispatcher(cache=cache)
+        d2 = KernelDispatcher(cache=cache)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         assert d1.peek_counts(fn).instructions > 0
@@ -143,15 +143,14 @@ class TestTierEquivalence:
         fn = _fn()
         runs = {}
         for native in (False, True):
-            d = KernelDispatcher(
-                cache=KernelCache(),
-                policy=TierPolicy(src_threshold=1),
-                native=native,
-            )
+            d = KernelDispatcher(cache=KernelCache(), native=native)
             storage = _storage()
             run = getattr(d, f"run_{flavor}")
             out = run(fn, list(range(16)), {}, storage)
             runs[native] = (out, d.take_counts(fn), storage)
+            # each flavor runs in exactly one tier from its first launch
+            assert d.cache.compiles["src"] == int(native)
+            assert d.cache.compiles["interp"] == int(not native)
         out_i, counts_i, st_i = runs[False]
         out_n, counts_n, st_n = runs[True]
         if flavor == "buffered":
@@ -168,7 +167,6 @@ class TestCrosscheck:
         obs = Instrumentation.recording()
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
             crosscheck=True,
             obs=obs,
         )
@@ -177,10 +175,15 @@ class TestCrosscheck:
         assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
         assert obs.metrics.counter("kernel.crosscheck.mismatch").value == 0
 
+    def test_two_index_launch_is_crosschecked(self):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
+        d.run_direct(_fn(), [0, 1], {}, _storage())
+        assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
+
     def test_divergence_raises_mismatch(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
             crosscheck=True,
         )
         fn = _fn()
@@ -200,7 +203,6 @@ class TestCrosscheck:
     def test_flipped_flat_in_buffered_log_raises(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
             crosscheck=True,
         )
         fn = _fn()
@@ -226,7 +228,6 @@ class TestCrosscheck:
         obs = Instrumentation.recording()
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
             crosscheck=True,
             obs=obs,
         )
@@ -240,7 +241,6 @@ class TestCrosscheck:
     def test_interpreter_effects_win(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
             crosscheck=True,
         )
         fn = _fn()
@@ -261,7 +261,7 @@ class TestNumbaAbsent:
 
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1, numba_threshold=4),
+            policy=TierPolicy(numba_threshold=4),
         )
         fn = _fn()
         d.run_direct(fn, list(range(16)), {}, _storage())
