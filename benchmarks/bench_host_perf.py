@@ -210,7 +210,8 @@ def measure_kernel_tiers(n: int) -> dict:
 
     The dispatcher is driven directly so each leg runs entirely in one
     tier (``native`` off for the interpreter, on for src, the numba
-    threshold at 1 for numba): a warm launch first to pay compiles,
+    threshold at 1 for numba; ``ordered`` keeps this straight-line
+    kernel off the vector tier): a warm launch first to pay compiles,
     then the timed launch.  The numba leg only appears when numba is
     importable and its self-test passes.
     """
@@ -239,7 +240,7 @@ def measure_kernel_tiers(n: int) -> dict:
                 {"a": a.copy(), "b": b.copy(), "c": np.zeros(n)}
             )
             t0 = time.perf_counter()
-            disp.run_direct(fn, indices, env, stg)
+            disp.run_direct(fn, indices, env, stg, ordered=True)
             dt = time.perf_counter() - t0
             disp.take_counts(fn)
             return dt, stg.arrays["c"]

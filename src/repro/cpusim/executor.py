@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import WorkerFault
 from ..faults.plane import SITE_CPU_WORKER
 from ..faults.resilience import (
@@ -27,7 +25,6 @@ from ..ir.interpreter import (
     Counts,
 )
 from ..ir.native import KernelDispatcher
-from ..ir.vectorizer import can_vectorize
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..runtime.costmodel import CostModel
 from ..runtime.platform import CpuSpec
@@ -70,17 +67,17 @@ class CpuExecutor:
         indices: Sequence[int],
         threads: Optional[int] = None,
         elem_bytes: float = 8.0,
-        allow_vectorized: bool = True,
+        ordered: bool = False,
     ) -> CpuRunResult:
         """Run a DOALL index set with the CPU thread pool.
 
-        ``allow_vectorized`` lets callers force the scalar interpreter
-        (needed when iteration order must be respected).
+        ``ordered`` tells the dispatcher that iteration order must be
+        respected, which keeps the run off the vector tier.
         """
         threads = threads if threads is not None else self.spec.worker_threads
         indices = list(indices)
         counts, extra_s = self._execute(
-            fn, storage, scalar_env, indices, allow_vectorized
+            fn, storage, scalar_env, indices, ordered
         )
         sim_time = extra_s + self.cost.cpu_time(
             counts, threads=threads, elem_bytes=elem_bytes
@@ -99,15 +96,13 @@ class CpuExecutor:
         """Run iterations sequentially, in the given order, on one thread.
 
         Sequential execution must respect iteration order (it is the mode
-        C fallback for loops carrying true dependencies), so the scalar
-        interpreter is always used for correctness... unless the kernel is
-        straight-line, in which case ascending-order vectorized execution
-        coincides with sequential semantics only for DOALL loops — hence
-        no vectorization here.
+        C fallback for loops carrying true dependencies), so it is always
+        ``ordered``: all-lanes-at-once vector execution coincides with
+        sequential semantics only for DOALL loops.
         """
         indices = list(indices)
         counts, extra_s = self._execute(
-            fn, storage, scalar_env, indices, allow_vectorized=False
+            fn, storage, scalar_env, indices, ordered=True
         )
         sim_time = extra_s + self.cost.cpu_time(
             counts, threads=1, elem_bytes=elem_bytes
@@ -131,7 +126,7 @@ class CpuExecutor:
         storage: ArrayStorage,
         scalar_env: dict[str, object],
         indices: list[int],
-        allow_vectorized: bool,
+        ordered: bool,
     ) -> tuple[Counts, float]:
         """Run the index set; returns (counts, extra simulated seconds).
 
@@ -146,7 +141,7 @@ class CpuExecutor:
         faults = self.faults
         if faults is None or not faults.enabled:
             return self._execute_once(fn, storage, scalar_env, indices,
-                                      allow_vectorized, None), 0.0
+                                      ordered, None), 0.0
         policy = faults.policy
         written = stored_arrays(fn)
         extra_s = 0.0
@@ -155,7 +150,7 @@ class CpuExecutor:
             snapshot = snapshot_arrays(storage, written)
             try:
                 counts = self._execute_once(
-                    fn, storage, scalar_env, indices, allow_vectorized, faults
+                    fn, storage, scalar_env, indices, ordered, faults
                 )
                 return counts, extra_s
             except WorkerFault as err:
@@ -191,23 +186,22 @@ class CpuExecutor:
         storage: ArrayStorage,
         scalar_env: dict[str, object],
         indices: list[int],
-        allow_vectorized: bool,
+        ordered: bool,
         faults: Optional[FaultRuntime],
     ) -> Counts:
         directive = (
             faults.probe(SITE_CPU_WORKER) if faults is not None else None
         )
-        if allow_vectorized and can_vectorize(fn) and indices:
-            if directive is not None:
-                # the worker dies before the chunk starts: nothing ran
-                raise WorkerFault(
-                    "injected worker failure (before chunk)",
-                    completed=0,
-                    site=SITE_CPU_WORKER,
-                    injected=True,
-                )
-            return self.kernels.cache.vectorized(fn).run_range(
-                storage, scalar_env, np.asarray(indices, dtype=np.int64)
+        if directive is not None and self.kernels.vectorizes(
+            fn, len(indices), ordered
+        ):
+            # a vector chunk runs all lanes at once, so the worker dies
+            # before the chunk starts: nothing ran
+            raise WorkerFault(
+                "injected worker failure (before chunk)",
+                completed=0,
+                site=SITE_CPU_WORKER,
+                injected=True,
             )
         dies_at = (
             int(directive.fraction * len(indices))
@@ -218,7 +212,7 @@ class CpuExecutor:
             # the worker executes its prefix, then dies mid-chunk; the
             # partial counts stay accumulated (wasted work costs time)
             self.kernels.run_direct(
-                fn, indices[:dies_at], scalar_env, storage
+                fn, indices[:dies_at], scalar_env, storage, ordered
             )
             raise WorkerFault(
                 f"injected worker failure mid-chunk at "
@@ -227,7 +221,7 @@ class CpuExecutor:
                 site=SITE_CPU_WORKER,
                 injected=True,
             )
-        self.kernels.run_direct(fn, indices, scalar_env, storage)
+        self.kernels.run_direct(fn, indices, scalar_env, storage, ordered)
         if dies_at is not None:
             # fraction rounded to the chunk end: the worker died right
             # after its last iteration, before reporting completion

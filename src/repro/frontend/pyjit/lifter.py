@@ -33,10 +33,10 @@ _SUPPORTED_GLOBALS = {"range", "len", "math", "abs", "min", "max", "int", "float
 
 #: ``math.<name>`` -> intrinsic (floor/ceil handled separately: Python
 #: returns an int where Java returns a double, so they lift as a cast).
-#: Only bitwise-safe intrinsics lift: the vectorized kernel tier
-#: evaluates through numpy ufuncs, and numpy's exp/log/tan/pow are not
-#: bit-identical to the ``math`` module's libm calls, which would break
-#: the differential oracle.  Those fall back as ``inexact-intrinsic``.
+#: Only these four lift; exp/log/tan/pow fall back as
+#: ``inexact-intrinsic`` (numpy's ufuncs for them are not bit-identical
+#: to the ``math`` module's libm calls, so the vector tier evaluates
+#: them per lane through libm instead).
 _MATH_INTRINSICS = {
     "sqrt": "Math.sqrt",
     "sin": "Math.sin",

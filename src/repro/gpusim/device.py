@@ -10,19 +10,20 @@ to the device-side execution styles in the paper:
     SE-phase style: per-lane write buffers + read/write logs, returned
     as a :class:`ColumnarLanes`.  Used by GPU-TLS, privatization, the
     profiler (buffered writes leave program state unperturbed), and by
-    DOALL execution (whose commit is trivially safe).  Straight-line
-    kernels run all lanes at once through the vectorized SE kernel.
+    DOALL execution (whose commit is trivially safe).
 ``direct``
-    Straight execution; uses the vectorized fast path when the kernel is
-    straight-line.  Only safe for loops proven DOALL.
+    Straight execution, writes land in storage.  Only safe for loops
+    proven DOALL.
+
+Both modes run through the shared :class:`KernelDispatcher`, which picks
+the kernel tier (straight-line kernels run all lanes at once on the
+vector tier); the device only meters the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..errors import (
     DeviceMemoryFault,
@@ -36,12 +37,11 @@ from ..ir.instructions import IRFunction, stored_arrays
 from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.columnar import ColumnarLanes
 from ..ir.native import KernelDispatcher
-from ..ir.vectorizer import can_vectorize
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..runtime.costmodel import CostModel
 from ..runtime.platform import GpuSpec
 from .memory import DeviceMemory
-from .warp import Warp, divergence_factor, partition_warps
+from .warp import divergence_factor
 
 
 @dataclass
@@ -51,7 +51,6 @@ class LaunchResult:
     counts: Counts
     sim_time_s: float
     n_threads: int
-    warps: list[Warp]
     #: lock-step SIMD divergence penalty measured for this launch
     divergence: float = 1.0
     #: the speculative access log (buffered mode only)
@@ -124,111 +123,34 @@ class GpuDevice:
         if block_size is not None and block_size <= 0:
             raise LaunchError(f"invalid block size {block_size}")
         penalty_s = self._fault_preamble(fn, check_allocations)
-        warps = partition_warps(indices, self.spec.warp_size)
-
         if mode == "direct":
-            return self._launch_direct(
-                fn, indices, scalar_env, storage, warps, coalescing,
-                elem_bytes, mark_writes=check_allocations,
-                block_size=block_size, penalty_s=penalty_s,
-            )
-        if mode != "buffered":
-            raise LaunchError(f"unknown launch mode {mode!r}")
-        if can_vectorize(fn) and indices:
-            return self._launch_buffered_vectorized(
-                fn, indices, scalar_env, storage, warps, coalescing,
-                elem_bytes, check_allocations, block_size, penalty_s,
-            )
-        per_lane, lanes = self.kernels.run_buffered(
-            fn, indices, scalar_env, storage
-        )
-
-        counts = self.kernels.take_counts(fn)
-        div = divergence_factor(per_lane, self.spec.warp_size)
-        div *= self._block_padding(block_size)
-        sim_time = penalty_s + self.cost.gpu_kernel_time(
-            counts, len(indices), coalescing=coalescing,
-            elem_bytes=elem_bytes, divergence=div,
-        )
-        result = LaunchResult(
-            counts, sim_time, len(indices), warps, divergence=div,
-            lanes=lanes,
-        )
-        if check_allocations:
-            self._mark_writes(fn)
-        self._record_launch(mode, len(indices), div, sim_time, False)
-        return result
-
-    def _launch_buffered_vectorized(
-        self,
-        fn: IRFunction,
-        indices: list[int],
-        scalar_env: dict[str, object],
-        storage: ArrayStorage,
-        warps: list[Warp],
-        coalescing: float,
-        elem_bytes: float,
-        check_allocations: bool,
-        block_size: Optional[int],
-        penalty_s: float,
-    ) -> LaunchResult:
-        """Speculative (SE-phase) launch of a straight-line kernel, all
-        lanes at once.  Straight-line bodies have uniform per-lane work,
-        so the measured divergence factor is exactly 1."""
-        counts, lanes = self.kernels.cache.specvec(fn).run_buffered(
-            storage, scalar_env, np.asarray(indices, dtype=np.int64)
-        )
-        div = self._block_padding(block_size)
-        sim_time = penalty_s + self.cost.gpu_kernel_time(
-            counts, len(indices), coalescing=coalescing,
-            elem_bytes=elem_bytes, divergence=div,
-        )
-        result = LaunchResult(
-            counts, sim_time, len(indices), warps, divergence=div,
-            lanes=lanes, vectorized=True,
-        )
-        if check_allocations:
-            self._mark_writes(fn)
-        self._record_launch("buffered", len(indices), div, sim_time, True)
-        return result
-
-    def _launch_direct(
-        self,
-        fn: IRFunction,
-        indices: list[int],
-        scalar_env: dict[str, object],
-        storage: ArrayStorage,
-        warps: list[Warp],
-        coalescing: float,
-        elem_bytes: float,
-        mark_writes: bool = True,
-        block_size: Optional[int] = None,
-        penalty_s: float = 0.0,
-    ) -> LaunchResult:
-        div = self._block_padding(block_size)
-        if can_vectorize(fn) and indices:
-            # straight-line bodies have uniform lanes: divergence = 1
-            counts = self.kernels.cache.vectorized(fn).run_range(
-                storage, scalar_env, np.asarray(indices, dtype=np.int64)
-            )
-            vectorized = True
-        else:
             per_lane = self.kernels.run_direct(
                 fn, indices, scalar_env, storage
             )
-            counts = self.kernels.take_counts(fn)
+            lanes = None
+        elif mode == "buffered":
+            per_lane, lanes = self.kernels.run_buffered(
+                fn, indices, scalar_env, storage
+            )
+        else:
+            raise LaunchError(f"unknown launch mode {mode!r}")
+        counts = self.kernels.take_counts(fn)
+        # a vector-tier launch reports no per-lane totals: its lanes are
+        # uniform, so the measured divergence factor is exactly 1
+        vectorized = per_lane is None
+        div = self._block_padding(block_size)
+        if not vectorized:
             div *= divergence_factor(per_lane, self.spec.warp_size)
-            vectorized = False
         sim_time = penalty_s + self.cost.gpu_kernel_time(
             counts, len(indices), coalescing=coalescing,
             elem_bytes=elem_bytes, divergence=div,
         )
-        if mark_writes:
+        if check_allocations:
             self._mark_writes(fn)
-        self._record_launch("direct", len(indices), div, sim_time, vectorized)
+        self._record_launch(mode, len(indices), div, sim_time, vectorized)
         return LaunchResult(
-            counts, sim_time, len(indices), warps, vectorized=vectorized,
-            divergence=div,
+            counts, sim_time, len(indices), divergence=div, lanes=lanes,
+            vectorized=vectorized,
         )
 
     def _record_launch(

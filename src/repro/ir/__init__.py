@@ -22,7 +22,7 @@ from .interpreter import (
     run_sequential,
 )
 from .lower import length_param, lower_loop_body, promote
-from .vectorizer import VectorizedKernel, can_vectorize
+from .vectorizer import VectorizedKernel
 
 __all__ = [
     "ArrayParam",
@@ -41,7 +41,6 @@ __all__ = [
     "ScalarParam",
     "SpeculativeBackend",
     "VectorizedKernel",
-    "can_vectorize",
     "jtype_of_prim",
     "length_param",
     "lower_loop_body",

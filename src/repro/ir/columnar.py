@@ -3,7 +3,7 @@
 A buffered launch over ``n`` lanes produces, per lane, a write buffer
 plus read/write logs.  Every buffered tier — the interpreter's
 :class:`~repro.ir.interpreter.SpeculativeBackend`, the generated-source
-``buffered`` kernel and the vectorized SE kernel — writes them straight
+``buffered`` kernel and the buffered vector tier — writes them straight
 into NumPy columns, and every analysis (density, coalescing, stride
 compression, dependency checking, commit) reads those columns:
 

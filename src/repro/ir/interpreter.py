@@ -54,6 +54,41 @@ C_TOTAL = 7
 N_COUNTERS = 8
 
 
+def _instr_category(instr) -> tuple[int, ...]:
+    """Counter indices (besides C_TOTAL) one instruction increments."""
+    op = instr.op
+    if op in (Opcode.CONST, Opcode.MOV, Opcode.RET):
+        return ()
+    if op is Opcode.BIN:
+        if instr.binop in SPECIAL_OPS:
+            return (C_SPECIAL,)
+        return (C_FLOAT,) if instr.a.type.is_floating else (C_INT,)
+    if op is Opcode.UN:
+        return (C_FLOAT,) if instr.dst.type.is_floating else (C_INT,)
+    if op is Opcode.CAST:
+        return (C_INT,)
+    if op is Opcode.LOAD:
+        return (C_LOAD,)
+    if op is Opcode.STORE:
+        return (C_STORE,)
+    if op is Opcode.CALL:
+        return (C_INTRINSIC,)
+    if op in (Opcode.BR, Opcode.CBR):
+        return (C_BRANCH,)
+    raise JaponicaError(f"unknown opcode {op}")
+
+
+def block_counts(instrs) -> list[int]:
+    """Raw counters one execution of a basic block adds: the static
+    per-block fold every compiled tier charges."""
+    fold = [0] * N_COUNTERS
+    for instr in instrs:
+        for cat in _instr_category(instr):
+            fold[cat] += 1
+        fold[C_TOTAL] += 1
+    return fold
+
+
 @dataclass
 class Counts:
     """Dynamic work executed by one or more kernel iterations."""

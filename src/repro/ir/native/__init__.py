@@ -3,8 +3,12 @@
 The scalar closure-per-instruction interpreter in
 :mod:`repro.ir.interpreter` is the semantic reference for every kernel
 execution, but it pays Python dispatch per IR instruction.  This package
-adds two faster tiers that preserve its observable behaviour exactly:
+adds faster tiers that preserve its observable behaviour exactly:
 
+``vector``
+    :class:`repro.ir.vectorizer.VectorizedKernel` runs a straight-line
+    (single-block) kernel for all lanes at once with NumPy, in either
+    flavor, whether ``native`` is on or off.
 ``src``
     :mod:`repro.ir.native.codegen` compiles an :class:`IRFunction` into
     type-specialized Python source — registers become locals, branches
@@ -18,9 +22,11 @@ adds two faster tiers that preserve its observable behaviour exactly:
     silently (and permanently, per process) when numba is absent or the
     compile fails.
 
-:class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers:
-every kernel runs on ``src`` from its first launch, hot direct kernels
-are promoted to ``numba`` by a hotness counter, and every native launch
+:class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers and
+is the one place a launch's tier is chosen: straight-line kernels run on
+``vector`` unless iteration order matters, every other kernel runs on
+``src`` from its first launch, hot direct kernels are promoted to
+``numba`` by a hotness counter, and every vector, src and numba launch
 can be crosschecked bit-for-bit against the interpreter oracle.
 """
 
@@ -32,6 +38,7 @@ from .dispatch import (
     TIER_INTERP,
     TIER_NUMBA,
     TIER_SRC,
+    TIER_VECTOR,
     TierPolicy,
 )
 
@@ -44,6 +51,7 @@ __all__ = [
     "TIER_INTERP",
     "TIER_NUMBA",
     "TIER_SRC",
+    "TIER_VECTOR",
     "TierPolicy",
     "generate_source",
 ]

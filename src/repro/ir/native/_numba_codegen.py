@@ -29,8 +29,8 @@ import numpy as np
 
 from ...errors import JaponicaError
 from ..instructions import IRFunction, JType, Opcode
-from ..interpreter import C_TOTAL, FuelExhausted, N_COUNTERS
-from .codegen import DEFAULT_FUEL, _Emitter, _instr_category, _KernelPlan
+from ..interpreter import C_TOTAL, FuelExhausted, N_COUNTERS, block_counts
+from .codegen import DEFAULT_FUEL, _Emitter, _KernelPlan
 from .numba_backend import NumbaFallback
 
 _INT_TYPES = (JType.INT, JType.LONG)
@@ -365,11 +365,7 @@ def generate_numba(fn: IRFunction, fuel: int = DEFAULT_FUEL):
         kw = "if" if bid == 0 else "elif"
         e.emit(3, f"{kw} _blk == {bid}:  # {blk.name}")
         ind = 4
-        fold = [0] * N_COUNTERS
-        for instr in blk.instrs:
-            for cat in _instr_category(instr):
-                fold[cat] += 1
-            fold[C_TOTAL] += 1
+        fold = block_counts(blk.instrs)
         for instr in blk.instrs[:-1]:
             _nb_instr(e, ind, instr, plan, const_ords, array_ord, fault_exit)
         for cat in range(N_COUNTERS - 1):

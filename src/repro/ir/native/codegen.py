@@ -46,19 +46,8 @@ import math
 from ...errors import JaponicaError
 from .. import java_ops
 from ..columnar import ColumnarLanes
-from ..instructions import IRFunction, JType, Opcode, SPECIAL_OPS
-from ..interpreter import (
-    C_BRANCH,
-    C_FLOAT,
-    C_INT,
-    C_INTRINSIC,
-    C_LOAD,
-    C_SPECIAL,
-    C_STORE,
-    C_TOTAL,
-    FuelExhausted,
-    N_COUNTERS,
-)
+from ..instructions import IRFunction, JType, Opcode
+from ..interpreter import C_TOTAL, FuelExhausted, N_COUNTERS, block_counts
 
 DEFAULT_FUEL = 200_000_000
 
@@ -221,32 +210,6 @@ def _intr_expr(var: str, args: str, dst: JType) -> str:
     return _wrap_expr(f"int({core})", JType.INT if dst is JType.INT else JType.LONG)
 
 
-def _instr_category(instr) -> tuple[int, ...]:
-    """Counter indices (besides C_TOTAL) one instruction increments."""
-    op = instr.op
-    if op in (Opcode.CONST, Opcode.MOV):
-        return ()
-    if op is Opcode.BIN:
-        if instr.binop in SPECIAL_OPS:
-            return (C_SPECIAL,)
-        return (C_FLOAT,) if instr.a.type.is_floating else (C_INT,)
-    if op is Opcode.UN:
-        return (C_FLOAT,) if instr.dst.type.is_floating else (C_INT,)
-    if op is Opcode.CAST:
-        return (C_INT,)
-    if op is Opcode.LOAD:
-        return (C_LOAD,)
-    if op is Opcode.STORE:
-        return (C_STORE,)
-    if op is Opcode.CALL:
-        return (C_INTRINSIC,)
-    if op in (Opcode.BR, Opcode.CBR):
-        return (C_BRANCH,)
-    if op is Opcode.RET:
-        return ()
-    raise JaponicaError(f"unknown opcode {op}")
-
-
 class _KernelPlan:
     """Static facts the emitter needs: register roles, array usage."""
 
@@ -394,11 +357,7 @@ def generate(
         kw = "if" if bid == 0 else "elif"
         e.emit(4, f"{kw} _blk == {bid}:  # {blk.name}")
         body_indent = 5
-        fold = [0] * N_COUNTERS
-        for instr in blk.instrs:
-            for cat in _instr_category(instr):
-                fold[cat] += 1
-            fold[C_TOTAL] += 1
+        fold = block_counts(blk.instrs)
         for instr in blk.instrs[:-1]:
             _emit_instr(
                 e, body_indent, instr, plan, flavor, const_iter

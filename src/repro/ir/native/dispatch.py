@@ -6,20 +6,24 @@ state; the compiled artifacts themselves live in a process-wide
 pool compiles each kernel once:
 
 * stateless tiers (generated-source ``NativeKernel``, numba, the
-  vectorized/specvec kernels) are cached globally under a lock, keyed
-  ``(ir_fingerprint, tier/flavor)``;
+  NumPy ``VectorizedKernel``) are cached globally under a lock, keyed
+  ``(ir_fingerprint, flavor)``;
 * the stateful scalar interpreter (``CompiledKernel`` closures capture
   their counters and backend) is cached per *thread*, which still
   deduplicates the per-device copies of the old per-instance caches.
 
-With ``native`` on, every kernel runs on ``src`` from its first launch;
-the scalar interpreter serves ``native=False`` and is the crosscheck
-oracle.  The one promotion is ``src`` → ``numba``, by a cumulative
-iteration count (one large launch promotes immediately); it applies to
-the direct flavor only and is skipped silently when numba is not
-importable or its compile fails.  ``crosscheck`` mode replays every
-native execution through the interpreter oracle and compares results
-bitwise — the oracle's effects always win.
+``_select`` is the one place a launch's tier is chosen.  A non-empty
+launch of a straight-line kernel runs on ``vector`` (all lanes at once,
+both flavors, with ``native`` on or off) unless the caller says
+iteration order matters.  Otherwise, with ``native`` on, every kernel
+runs on ``src`` from its first launch; the scalar interpreter serves
+``native=False`` and is the crosscheck oracle.  The one promotion is
+``src`` → ``numba``, by a cumulative iteration count (one large launch
+promotes immediately); it applies to the direct flavor only and is
+skipped silently when numba is not importable or its compile fails.
+``crosscheck`` mode replays every vector, src and numba execution
+through the interpreter oracle and compares results bitwise — the
+oracle's effects always win.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from ..interpreter import (
     N_COUNTERS,
     SpeculativeBackend,
 )
-from ..specvec import VectorizedSpecKernel
-from ..vectorizer import VectorizedKernel
+from ..vectorizer import VectorizedKernel, can_vectorize
 from .codegen import DEFAULT_FUEL, NativeKernel
 
 TIER_INTERP = "interp"
+TIER_VECTOR = "vector"
 TIER_SRC = "src"
 TIER_NUMBA = "numba"
 
@@ -78,8 +82,7 @@ class KernelCache:
         self._lock = threading.Lock()
         self._src: dict[tuple[str, str], NativeKernel] = {}
         self._numba: dict[str, object] = {}
-        self._vector: dict[str, VectorizedKernel] = {}
-        self._specvec: dict[str, VectorizedSpecKernel] = {}
+        self._vector: dict[tuple[str, str], VectorizedKernel] = {}
         self._local = threading.local()
         self.compiles = {"interp": 0, "src": 0, "numba": 0, "vector": 0}
 
@@ -154,25 +157,15 @@ class KernelCache:
         with self._lock:
             self._numba[fn.fingerprint()] = None
 
-    def vectorized(self, fn: IRFunction) -> VectorizedKernel:
-        key = fn.fingerprint()
+    def vector(self, fn: IRFunction, flavor: str) -> VectorizedKernel:
+        key = (fn.fingerprint(), flavor)
         kern = self._vector.get(key)
         if kern is None:
             with self._lock:
                 kern = self._vector.get(key)
                 if kern is None:
-                    kern = self._vector[key] = VectorizedKernel(fn)
+                    kern = self._vector[key] = VectorizedKernel(fn, flavor)
                     self.compiles["vector"] += 1
-        return kern
-
-    def specvec(self, fn: IRFunction) -> VectorizedSpecKernel:
-        key = fn.fingerprint()
-        kern = self._specvec.get(key)
-        if kern is None:
-            with self._lock:
-                kern = self._specvec.get(key)
-                if kern is None:
-                    kern = self._specvec[key] = VectorizedSpecKernel(fn)
         return kern
 
     def clear(self) -> None:
@@ -180,7 +173,6 @@ class KernelCache:
             self._src.clear()
             self._numba.clear()
             self._vector.clear()
-            self._specvec.clear()
             self._local = threading.local()
             for k in self.compiles:
                 self.compiles[k] = 0
@@ -241,7 +233,21 @@ class KernelDispatcher:
 
     # -- tier selection -------------------------------------------------
 
-    def _select(self, fn: IRFunction, flavor: str, n: int) -> str:
+    def vectorizes(
+        self, fn: IRFunction, n: int, ordered: bool = False
+    ) -> bool:
+        """True when a launch of ``n`` indices runs on the vector tier.
+
+        ``ordered`` marks runs whose iteration order matters (sequential
+        fallbacks, loops with false dependences); they run lane by lane.
+        """
+        return n > 0 and not ordered and can_vectorize(fn)
+
+    def _select(
+        self, fn: IRFunction, flavor: str, n: int, ordered: bool
+    ) -> str:
+        if self.vectorizes(fn, n, ordered):
+            return TIER_VECTOR
         if not self.native:
             return TIER_INTERP
         key = fn.fingerprint()
@@ -275,12 +281,15 @@ class KernelDispatcher:
         indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
-    ) -> list[int]:
+        ordered: bool = False,
+    ) -> Optional[list[int]]:
         """Run indices in order, writes straight to storage.
 
-        Returns the per-index instruction totals (the divergence input).
+        Returns the per-index instruction totals (the divergence input),
+        or None when the launch ran on the vector tier, whose lanes are
+        uniform.  ``ordered`` keeps the launch off the vector tier.
         """
-        return self._run(fn, "direct", indices, scalar_env, storage)
+        return self._run(fn, "direct", indices, scalar_env, storage, ordered)
 
     def run_buffered(
         self,
@@ -291,18 +300,25 @@ class KernelDispatcher:
     ):
         """SE-phase run: per-lane write buffers + read/write logs.
 
-        Returns ``(per_lane, ColumnarLanes)``.
+        Returns ``(per_lane, ColumnarLanes)``; ``per_lane`` is None on the
+        vector tier, as for :meth:`run_direct`.
         """
-        return self._run(fn, "buffered", indices, scalar_env, storage)
+        return self._run(fn, "buffered", indices, scalar_env, storage, False)
 
-    def _run(self, fn, flavor, indices, scalar_env, storage):
+    def _run(self, fn, flavor, indices, scalar_env, storage, ordered):
         indices = list(indices)
-        tier = self._select(fn, flavor, len(indices))
+        tier = self._select(fn, flavor, len(indices), ordered)
         if tier != TIER_INTERP and self.crosscheck:
             self._record(tier, flavor, len(indices))
             return self._run_crosschecked(
                 fn, flavor, tier, indices, scalar_env, storage
             )
+        if tier == TIER_VECTOR:
+            self._record(TIER_VECTOR, flavor, len(indices))
+            lanes = self._run_vector(
+                fn, flavor, indices, scalar_env, storage, self.counters(fn)
+            )
+            return None if flavor == "direct" else (None, lanes)
         if tier == TIER_NUMBA:
             result = self._run_numba(fn, indices, scalar_env, storage)
             if result is not None:
@@ -333,6 +349,14 @@ class KernelDispatcher:
         if flavor == "buffered":
             return per_lane, backend.finish(indices)
         return per_lane
+
+    def _run_vector(self, fn, flavor, indices, scalar_env, storage, raw):
+        """All lanes at once; returns the buffered log (None if direct)."""
+        counts, lanes = self.cache.vector(fn, flavor).run_range(
+            storage, scalar_env, np.asarray(indices, dtype=np.int64)
+        )
+        counts.add_to_raw(raw)
+        return lanes
 
     def _run_src(self, fn, flavor, indices, scalar_env, storage):
         kern = self.cache.src(fn, flavor, self.obs, self.fuel)
@@ -381,6 +405,13 @@ class KernelDispatcher:
                     tier = TIER_SRC
             if tier == TIER_NUMBA:
                 kern.run(indices, scalar_env, scratch, native_raw, native_pl)
+            elif tier == TIER_VECTOR:
+                native_aux = self._run_vector(
+                    fn, flavor, indices, scalar_env, scratch, native_raw
+                )
+                # uniform lanes: each ran the whole block once
+                n = len(indices)
+                native_pl = [native_raw[C_TOTAL] // n] * n
             else:
                 kern = self.cache.src(fn, flavor, self.obs, self.fuel)
                 native_aux = kern.run(
@@ -447,6 +478,8 @@ class KernelDispatcher:
         self.obs.metrics.counter("kernel.crosscheck.ok").inc()
         if interp_err is not None:
             raise interp_err
+        if tier == TIER_VECTOR:
+            interp_pl = None
         if flavor == "direct":
             return interp_pl
         return interp_pl, interp_aux

@@ -104,15 +104,15 @@ class CpuParallelExecutor:
             return result
 
         # FD-only loops are parallel-safe via thread-private copies, but
-        # the vectorized fast path has no privatization: interpret them
-        # in ascending order (sequential semantics) instead.
+        # the vector tier has no privatization: run them ordered, lane
+        # by lane in ascending order (sequential semantics), instead.
         profile = self.ctx.profiles.get(loop.id)
         fd_only = profile is not None and profile.has_false
         try:
             run = self.ctx.cpu.run_parallel(
                 loop.fn, storage, scalar_env, indices, threads=threads,
                 elem_bytes=loop.elem_bytes,
-                allow_vectorized=not fd_only,
+                ordered=fd_only,
             )
         except WorkerFault as err:
             if not err.injected:

@@ -514,7 +514,7 @@ class TaskSharingScheduler:
             indices,
             threads=self.ctx.config.cpu_threads,
             elem_bytes=loop.elem_bytes,
-            allow_vectorized=not (profile is not None and profile.has_false),
+            ordered=profile is not None and profile.has_false,
         )
         tl.schedule(LANE_CPU, run.sim_time_s, label="cpu-mt-degraded")
         self._cpu_wrote(loop, 1.0)

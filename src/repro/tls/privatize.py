@@ -30,7 +30,7 @@ from ..errors import SpeculationError
 from ..gpusim.device import GpuDevice
 from ..ir.instructions import IRFunction
 from ..ir.interpreter import ArrayStorage, Counts
-from ..ir.vectorizer import VectorizedKernel, can_vectorize
+from ..ir.vectorizer import can_vectorize
 from ..profiler.report import DependencyProfile
 from .commit import commit_iterations
 from .depcheck import check_subloop

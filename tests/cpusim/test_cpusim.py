@@ -52,7 +52,7 @@ class TestExecutor:
             {"a": np.ones(n), "b": np.ones(n), "c": np.zeros(n)}
         )
         slow = cpu.run_parallel(
-            fn, storage2, {"n": n}, range(n), allow_vectorized=False
+            fn, storage2, {"n": n}, range(n), ordered=True
         )
         # identical results and counts either way
         assert np.array_equal(storage.arrays["c"], storage2.arrays["c"])

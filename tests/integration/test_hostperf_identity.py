@@ -1,11 +1,12 @@
 """Host-performance plane: observational identity across all workloads.
 
-The vectorized kernels (specvec for buffered launches, the vectorizer
-for direct ones) must be invisible to everything above them: for every
-Table-II workload, running the full japonica strategy normally and with
-the launch path forced onto the interp/src tiers (``can_vectorize``
-substituted in the device module) must produce bit-identical array
-results, the same simulated times, and equal cached dependency profiles.
+The vector tier (one NumPy kernel for buffered and direct launches)
+must be invisible to everything above it: for every Table-II workload,
+running the full japonica strategy normally and with every launch, GPU
+and CPU executor alike, forced off the vector tier (``can_vectorize``
+substituted where the kernel dispatcher looks it up) must produce
+bit-identical array results, the same simulated times, and equal cached
+dependency profiles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.gpusim.device as device_mod
+import repro.ir.native.dispatch as dispatch_mod
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -25,7 +26,7 @@ def test_columnar_identity(workload, monkeypatch):
     ctx_slow = workload.make_context()
 
     r_fast = workload.run("japonica", context=ctx_fast)
-    monkeypatch.setattr(device_mod, "can_vectorize", lambda fn: False)
+    monkeypatch.setattr(dispatch_mod, "can_vectorize", lambda fn: False)
     r_slow = workload.run("japonica", context=ctx_slow)
 
     assert r_fast.sim_time_s == r_slow.sim_time_s

@@ -5,16 +5,19 @@ Hypothesis generates random small IR kernels straight through
 float32 round-trips, intrinsics, data-dependent branches, and bounded
 loops — and runs each through the interpreter, the generated-source tier,
 and the numba emitter (executed un-jitted, since this container has no
-numba).  Arrays must be bitwise identical, per-lane instruction counts and
-:class:`Counts` equal, and fuel exhaustion must surface the same exception
-with the same message at the same point.
+numba); straight-line draws also run through the NumPy vector tier in
+both flavors.  Arrays must be bitwise identical, per-lane instruction
+counts and :class:`Counts` equal, buffered logs equal column by column,
+and fuel exhaustion must surface the same exception with the same message
+at the same point.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ir import ArrayStorage, IRBuilder, JType
+from repro.ir import ArrayStorage, IRBuilder, JType, VectorizedKernel
+from repro.ir.columnar import log_differences
 from repro.ir.interpreter import Counts, N_COUNTERS
 from repro.ir.native._numba_codegen import generate_numba
 from repro.ir.native.numba_backend import NumbaFallback
@@ -50,16 +53,17 @@ _ops = st.lists(
 )
 _branch = st.none() | st.tuples(st.sampled_from(CMP_OPS), _idx, _idx, _idx, _idx)
 _loop = st.none() | st.tuples(st.integers(0, 3), _idx)
+_shape = {
+    "int_consts": st.lists(st.integers(-(2**31), 2**31 - 1), max_size=3),
+    "dbl_consts": st.lists(st.floats(width=64), max_size=3),
+    "ops": _ops,
+}
 _programs = st.fixed_dictionaries(
-    {
-        "int_consts": st.lists(
-            st.integers(-(2**31), 2**31 - 1), max_size=3
-        ),
-        "dbl_consts": st.lists(st.floats(width=64), max_size=3),
-        "ops": _ops,
-        "branch": _branch,
-        "loop": _loop,
-    }
+    {**_shape, "branch": _branch, "loop": _loop}
+)
+#: single-block kernels: the ones the vector tier runs
+_straight_programs = st.fixed_dictionaries(
+    {**_shape, "branch": st.none(), "loop": st.none()}
 )
 _i32 = st.lists(
     st.integers(-(2**31), 2**31 - 1), min_size=N, max_size=N
@@ -184,6 +188,25 @@ def _same_arrays(s1, s2):
         assert a.tobytes() == b.tobytes(), name  # bitwise, NaN-safe
 
 
+def _check_vector_tier(fn, env, ai, ad, want, counts):
+    """Both vector flavors against the interpreter's direct result
+    ``want``/``counts`` and its buffered log, bitwise."""
+    for flavor in ("direct", "buffered"):
+        s_v = _storage(ai, ad)
+        c_v, log_v = VectorizedKernel(fn, flavor).run_range(
+            s_v, env, np.arange(N)
+        )
+        assert c_v == counts
+        if flavor == "direct":
+            _same_arrays(want, s_v)
+            continue
+        s_i = _storage(ai, ad)
+        _, _, log_i, err = _interp(fn, "buffered", range(N), env, s_i)
+        assert err is None
+        assert log_differences(log_i, log_v) == []
+        _same_arrays(s_i, s_v)  # buffered launches never write memory
+
+
 def _jdiv(a, b):
     if b == -1:
         return -a
@@ -294,6 +317,8 @@ class TestDifferential:
         _same_arrays(s1, s2)
         if e1 is not None:
             return
+        if prog["branch"] is None and prog["loop"] is None:
+            _check_vector_tier(fn, env, ai, ad, s1, c1)
         s3 = _storage(ai, ad)
         try:
             (code, pos, *_rest), pl3, c3 = _run_unjitted(fn, env, s3)
@@ -303,6 +328,16 @@ class TestDifferential:
         assert pl3 == pl1
         assert c3 == c1
         _same_arrays(s1, s3)
+
+    @given(prog=_straight_programs, ai=_i32, ad=_f64, s=st.floats(width=64))
+    @settings(max_examples=150, **COMMON)
+    def test_vector_tier_bitwise_identical(self, prog, ai, ad, s):
+        fn = build(prog)
+        env = {"n": N, "s": s}
+        s1 = _storage(ai, ad)
+        _, c1, _, e1 = _interp(fn, "direct", range(N), env, s1)
+        assert e1 is None
+        _check_vector_tier(fn, env, ai, ad, s1, c1)
 
     @given(
         prog=_programs,

@@ -1,4 +1,5 @@
-"""Kernel dispatcher: entry tier, numba promotion, shared cache, crosscheck."""
+"""Kernel dispatcher: tier choice, numba promotion, shared cache and
+crosscheck."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.ir.native import (
     KernelDispatcher,
     TIER_NUMBA,
     TIER_SRC,
+    TIER_VECTOR,
     TierPolicy,
 )
 from repro.obs import Instrumentation
@@ -27,8 +29,20 @@ class T { static void f(double[] a, double[] b, int n) {
 """
 
 
+STRAIGHT = """
+class T { static void f(double[] a, double[] b, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) { b[i] = a[i] * 2.0 + b[i]; }
+} }
+"""
+
+
 def _fn():
     return lowered(SRC)[1]
+
+
+def _straight():
+    return lowered(STRAIGHT)[1]
 
 
 def _storage(n=16):
@@ -108,6 +122,43 @@ class TestPromotion:
         assert m.counter("kernel.compile_s.src").value > 0
 
 
+class TestVectorTier:
+    @pytest.mark.parametrize("native", [True, False])
+    def test_straight_line_runs_on_vector_in_both_flavors(self, native):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), obs=obs, native=native)
+        fn = _straight()
+        assert d.run_direct(fn, list(range(8)), {}, _storage()) is None
+        per_lane, lanes = d.run_buffered(fn, list(range(8)), {}, _storage())
+        assert per_lane is None and lanes.n_positions == 8
+        assert d.cache.compiles["vector"] == 2  # one per flavor
+        assert d.cache.compiles["src"] == d.cache.compiles["interp"] == 0
+        assert obs.metrics.counter(f"kernel.tier.{TIER_VECTOR}").value == 2
+        assert obs.metrics.counter("kernel.tier.vector.iterations").value == 16
+
+    def test_vector_counts_equal_interpreter(self):
+        fn = _straight()
+        d = KernelDispatcher(cache=KernelCache())
+        ref = KernelDispatcher(cache=KernelCache(), native=False)
+        st_v, st_i = _storage(), _storage()
+        d.run_direct(fn, list(range(16)), {}, st_v)
+        pl = ref.run_direct(fn, list(range(16)), {}, st_i, ordered=True)
+        assert len(pl) == 16
+        assert d.take_counts(fn) == ref.take_counts(fn)
+        assert st_v.arrays["b"].tobytes() == st_i.arrays["b"].tobytes()
+
+    def test_ordered_and_empty_runs_stay_off_vector(self):
+        d = KernelDispatcher(cache=KernelCache())
+        fn = _straight()
+        assert d.vectorizes(fn, 8)
+        assert not d.vectorizes(fn, 8, ordered=True)
+        assert not d.vectorizes(fn, 0)
+        assert not d.vectorizes(_fn(), 8)
+        assert d.run_direct(fn, list(range(8)), {}, _storage(), True)
+        d.run_direct(fn, [], {}, _storage())
+        assert d.cache.compiles["vector"] == 0
+
+
 class TestSharedCache:
     def test_two_dispatchers_share_compiles(self):
         # N devices / executors of one process compile each kernel once
@@ -180,6 +231,33 @@ class TestCrosscheck:
         d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
         d.run_direct(_fn(), [0, 1], {}, _storage())
         assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
+
+    @pytest.mark.parametrize("flavor", ["direct", "buffered"])
+    def test_straight_line_launch_is_crosschecked(self, flavor):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
+        run = getattr(d, f"run_{flavor}")
+        out = run(_straight(), list(range(16)), {}, _storage())
+        # the vector tier's uniform lanes survive the crosscheck
+        assert (out if flavor == "direct" else out[0]) is None
+        assert obs.metrics.counter("kernel.tier.vector").value == 1
+        assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
+        assert obs.metrics.counter("kernel.crosscheck.mismatch").value == 0
+
+    def test_diverging_vector_kernel_raises_mismatch(self):
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True)
+        fn = _straight()
+        broken = d.cache.vector(fn, "direct")
+
+        class Broken:
+            def run_range(self, storage, env, indices):
+                out = broken.run_range(storage, env, indices)
+                storage.arrays["b"][0] += 1.0
+                return out
+
+        d.cache._vector[(fn.fingerprint(), "direct")] = Broken()
+        with pytest.raises(NativeMismatch, match="'vector' diverged"):
+            d.run_direct(fn, list(range(16)), {}, _storage())
 
     def test_divergence_raises_mismatch(self):
         d = KernelDispatcher(

@@ -1,17 +1,17 @@
 """Vectorized SE kernel vs. the scalar buffered tiers: log identity.
 
-Straight-line kernels take the vectorized SE kernel (specvec); every
-other kernel runs through the interpreter / generated-source buffered
-tiers.  Both write the same columnar access log, and the hard contract
-is that they write *the same* log: for any straight-line kernel, the
-specvec log must equal the one the scalar tiers build column by column
+Straight-line kernels take the buffered vector tier; every other kernel
+runs through the interpreter / generated-source buffered tiers.  Both
+write the same columnar access log, and the hard contract is that they
+write *the same* log: for any straight-line kernel, the vector-tier log
+must equal the one the scalar tiers build column by column
 (buffer values bitwise, NaN-aware).  On top of that each production
 analysis (density, coalescing, stride compression, dependency checking,
 commit, buffer volumes) must agree with its per-record reference oracle
 (:mod:`tests.oracles`) over the same columns.
 
 The scalar tiers are forced by substituting ``can_vectorize`` in the
-device module, the one place the launch path is chosen.  The suite
+kernel dispatcher, the one place a launch's tier is chosen.  The suite
 drives randomized parametrized kernels (hypothesis) through both paths
 side by side.
 """
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.gpusim.device as device_mod
+import repro.ir.native.dispatch as dispatch_mod
 from repro.ir import ArrayStorage
 from repro.ir.columnar import log_differences
 from repro.profiler.coalesce import estimate_coalescing
@@ -144,7 +144,7 @@ def _make_case(template_id, n, s, o, t, p, k, m, seed):
 def scalar_tiers():
     """Every launch inside takes the interp/src tiers."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(device_mod, "can_vectorize", lambda fn: False)
+        mp.setattr(dispatch_mod, "can_vectorize", lambda fn: False)
         yield
 
 
@@ -221,7 +221,7 @@ def assert_equivalent(src, arrays, env, n):
         src, arrays, env, n
     )
     if n > 0:
-        assert fast.vectorized, "specvec path not taken"
+        assert fast.vectorized, "vector tier not taken"
     assert not slow.vectorized
     assert fast.counts == slow.counts
     assert fast.sim_time_s == slow.sim_time_s
